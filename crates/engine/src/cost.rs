@@ -22,50 +22,10 @@
 //! locked in by tests (here and in the repo-level property suite).
 //!
 //! Cost-based ordering changes only *search effort*, never the match
-//! set: the matcher's result semantics are order-independent. The
-//! global [`set_ordering_mode`] switch exists so benches and the
-//! differential test can pit [`OrderingMode::CostBased`] against the
-//! classic heuristic and assert identical inference output.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! set: the matcher's result semantics are order-independent, which
+//! `tests/cost_ordering.rs` checks against declaration-order matching.
 
 use questpro_graph::{Ontology, PredId, PredStats};
-
-/// How the matcher orders required pattern edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrderingMode {
-    /// Statistics-driven ordering (the default): expand the edge with
-    /// the smallest estimated candidate scan first.
-    CostBased,
-    /// The pre-cost heuristic: most bound endpoints first, ties broken
-    /// by raw predicate-pool size. Kept as an ablation/differential
-    /// baseline.
-    Classic,
-}
-
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-global edge-ordering mode (default: cost-based).
-///
-/// Output of every driver is identical in both modes; only search cost
-/// differs. Used by the ordering differential test and benches.
-pub fn set_ordering_mode(mode: OrderingMode) {
-    MODE.store(
-        match mode {
-            OrderingMode::CostBased => 0,
-            OrderingMode::Classic => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The current process-global edge-ordering mode.
-pub fn ordering_mode() -> OrderingMode {
-    match MODE.load(Ordering::Relaxed) {
-        0 => OrderingMode::CostBased,
-        _ => OrderingMode::Classic,
-    }
-}
 
 /// Expected number of candidate edges scanned to match one pattern edge
 /// with the given endpoint binding state, from predicate statistics.
@@ -151,15 +111,6 @@ mod tests {
     fn zero_cardinality_is_zero_cost() {
         assert_eq!(estimate_scan(PredStats::default(), false, false), 0.0);
         assert_eq!(estimate_scan(PredStats::default(), true, true), 0.0);
-    }
-
-    #[test]
-    fn ordering_mode_roundtrips() {
-        assert_eq!(ordering_mode(), OrderingMode::CostBased);
-        set_ordering_mode(OrderingMode::Classic);
-        assert_eq!(ordering_mode(), OrderingMode::Classic);
-        set_ordering_mode(OrderingMode::CostBased);
-        assert_eq!(ordering_mode(), OrderingMode::CostBased);
     }
 
     #[test]

@@ -3,62 +3,159 @@
 //! Result-set evaluation is *result-anchored*: instead of enumerating all
 //! homomorphisms (whose count can be exponential in the pattern size), we
 //! enumerate candidate images of the projected node and run an
-//! existence-check for each. Candidates come from the cheapest incident
-//! edge of the projected node, so a query anchored by a selective
-//! predicate never scans the whole ontology.
+//! existence-check for each. Candidates come from a semi-join domain
+//! pass over the required edges: every constant seeds its node's domain
+//! with the one node holding its value, and domains spread along the
+//! required edges through the per-node predicate slices. A query
+//! anchored by a constant anywhere in its pattern therefore checks only
+//! the handful of nodes reachable from that constant. A constant-free
+//! query falls back to the projected node's cheapest incident predicate
+//! pool, and the pass never scans more index entries than that pool
+//! holds (DESIGN.md §9, "Candidate domains").
 //!
 //! Provenance evaluation enumerates homomorphisms for a *bound* result
 //! only (the paper's Section V optimization: run differences without
 //! provenance, then bind one result and track provenance just for it).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use questpro_graph::rng::{IteratorRandom, Rng, SliceRandom};
-use questpro_graph::{NodeId, Ontology, Subgraph};
+use questpro_graph::{NodeId, Ontology, PredId, Subgraph};
 use questpro_query::{SimpleQuery, UnionQuery};
 
 use crate::matcher::Matcher;
 use crate::par::map_chunked;
 
-/// Candidate images of the projected node, computed from its cheapest
-/// incident **required** edge (optional edges do not constrain results);
-/// `None` means "every node" (the projected node has no required edge).
-fn projected_candidates(ont: &Ontology, q: &SimpleQuery) -> Option<Vec<NodeId>> {
-    let proj = q.projected();
-    let mut best: Option<(usize, Vec<NodeId>)> = None;
-    for &ei in q.out_edges(proj) {
-        let e = &q.edges()[ei as usize];
-        if e.optional {
-            continue;
-        }
+/// Candidate images of the projected node, sorted and distinct: a
+/// superset of `Q(O)` (only **required** edges constrain results).
+///
+/// Every homomorphism maps each required edge onto an ontology edge, so
+/// the nodes one edge away from a node's possible images are a superset
+/// of its neighbour's possible images. The pass seeds each constant with
+/// its own node and walks outward from the seeds, relaxing each required
+/// edge once, in either direction: the far endpoint's domain becomes
+/// (or is intersected with) the near endpoint's neighbours. Every domain
+/// therefore stays a superset of the node's images, and an empty domain
+/// proves the query has no match.
+///
+/// Work cap: no domain may grow past the projected node's cheapest
+/// incident pool (the whole node table when it has no required edge).
+/// The first relaxation that would read more index entries than that
+/// stops the pass, keeping the domains reached so far; the pass reads at
+/// most one pool per required edge. The projected node's domain, when
+/// one was reached, is the candidate set; otherwise — the unseeded case
+/// — the cheapest pool's endpoints are.
+fn projected_candidates(ont: &Ontology, q: &SimpleQuery) -> Vec<NodeId> {
+    let mut edges: Vec<(usize, PredId, usize)> = Vec::new();
+    for e in q.edges().iter().filter(|e| !e.optional) {
         let Some(p) = ont.pred_by_name(&e.pred) else {
-            return Some(Vec::new());
+            return Vec::new();
         };
-        let pool = ont.edges_with_pred(p);
-        if best.as_ref().is_none_or(|(n, _)| pool.len() < *n) {
-            let cands: Vec<NodeId> = pool.iter().map(|&te| ont.edge(te).src).collect();
-            best = Some((pool.len(), cands));
+        edges.push((e.src.index(), p, e.dst.index()));
+    }
+    let mut domains: Vec<Option<Vec<NodeId>>> = vec![None; q.node_count()];
+    let mut queue = VecDeque::new();
+    for n in q.node_ids() {
+        if let Some(value) = q.label(n).as_const() {
+            let Some(v) = ont.node_by_value(value) else {
+                return Vec::new();
+            };
+            domains[n.index()] = Some(vec![v]);
+            queue.push_back(n.index());
         }
     }
-    for &ei in q.in_edges(proj) {
-        let e = &q.edges()[ei as usize];
-        if e.optional {
-            continue;
-        }
-        let Some(p) = ont.pred_by_name(&e.pred) else {
-            return Some(Vec::new());
-        };
-        let pool = ont.edges_with_pred(p);
-        if best.as_ref().is_none_or(|(n, _)| pool.len() < *n) {
-            let cands: Vec<NodeId> = pool.iter().map(|&te| ont.edge(te).dst).collect();
-            best = Some((pool.len(), cands));
+    let proj = q.projected().index();
+    let pool = edges
+        .iter()
+        .filter(|&&(s, _, d)| s == proj || d == proj)
+        .min_by_key(|&&(_, p, _)| ont.edges_with_pred(p).len());
+    let cap = pool.map_or(ont.node_count(), |&(_, p, _)| ont.edges_with_pred(p).len());
+    let mut relaxed = vec![false; edges.len()];
+    'propagate: while let Some(n) = queue.pop_front() {
+        for (i, &(s, p, d)) in edges.iter().enumerate() {
+            let (m, forward) = match (s == n, d == n) {
+                (true, false) => (d, true),
+                (false, true) => (s, false),
+                _ => continue,
+            };
+            if std::mem::replace(&mut relaxed[i], true) {
+                continue;
+            }
+            let from = domains[n].as_deref().expect("queued nodes have a domain");
+            let Some(image) = neighbours(ont, from, p, forward, cap) else {
+                break 'propagate;
+            };
+            let dom = match domains[m].take() {
+                Some(mut dom) => {
+                    dom.retain(|v| image.binary_search(v).is_ok());
+                    dom
+                }
+                None => {
+                    queue.push_back(m);
+                    image
+                }
+            };
+            if dom.is_empty() {
+                return Vec::new();
+            }
+            domains[m] = Some(dom);
         }
     }
-    best.map(|(_, mut cands)| {
-        cands.sort_unstable();
-        cands.dedup();
-        cands
-    })
+    if let Some(dom) = domains[proj].take() {
+        return dom;
+    }
+    let Some(&(s, p, _)) = pool else {
+        return ont.node_ids().collect();
+    };
+    let mut cands: Vec<NodeId> = ont
+        .edges_with_pred(p)
+        .iter()
+        .map(|&te| {
+            let e = ont.edge(te);
+            if s == proj {
+                e.src
+            } else {
+                e.dst
+            }
+        })
+        .collect();
+    cands.sort_unstable();
+    cands.dedup();
+    cands
+}
+
+/// The nodes one `p`-edge away from `from` (along the edge when
+/// `forward`, against it otherwise), sorted and distinct; `None` when
+/// that reads more than `cap` index entries.
+fn neighbours(
+    ont: &Ontology,
+    from: &[NodeId],
+    p: PredId,
+    forward: bool,
+    cap: usize,
+) -> Option<Vec<NodeId>> {
+    let mut out = Vec::new();
+    for &v in from {
+        let hop = if forward {
+            ont.out_edges_with_pred(v, p)
+        } else {
+            ont.in_edges_with_pred(v, p)
+        };
+        if out.len() + hop.len() > cap {
+            return None;
+        }
+        out.extend(hop.iter().map(|&te| {
+            let e = ont.edge(te);
+            if forward {
+                e.dst
+            } else {
+                e.src
+            }
+        }));
+    }
+    out.sort_unstable();
+    out.dedup();
+    Some(out)
 }
 
 /// Evaluates a simple query: the set of nodes `Q(O)`.
@@ -96,26 +193,31 @@ pub fn evaluate(ont: &Ontology, q: &SimpleQuery) -> BTreeSet<NodeId> {
 /// to `threads` scoped workers. The result is a set, and every check is
 /// independent, so the output is identical for every thread count.
 pub fn evaluate_with(ont: &Ontology, q: &SimpleQuery, threads: usize) -> BTreeSet<NodeId> {
+    evaluate_counted(ont, q, threads).0
+}
+
+/// [`evaluate_with`] plus the number of candidates it checked (one
+/// existence check each).
+fn evaluate_counted(ont: &Ontology, q: &SimpleQuery, threads: usize) -> (BTreeSet<NodeId>, usize) {
     // Result sets are determined by the required pattern; skipping the
     // OPTIONAL extension phase makes the existence checks cheaper.
-    // Isolated projected node (None): every node extends iff the rest
-    // of the pattern matches at all — but diseqs may couple the
-    // projected node to the rest, so bind each candidate either way.
-    let cands: Vec<NodeId> = match projected_candidates(ont, q) {
-        Some(cands) => cands,
-        None => ont.node_ids().collect(),
-    };
+    // Diseqs may couple the projected node to the rest of the pattern,
+    // so every candidate is bound and checked, even when the projected
+    // node has no required edge.
+    let cands = projected_candidates(ont, q);
     let hits = map_chunked(&cands, threads, |&v| {
         Matcher::new(ont, q)
             .bind(q.projected(), v)
             .skip_optionals()
             .exists()
     });
-    cands
+    let checked = cands.len();
+    let results = cands
         .into_iter()
         .zip(hits)
         .filter_map(|(v, hit)| hit.then_some(v))
-        .collect()
+        .collect();
+    (results, checked)
 }
 
 /// Evaluates a union query: `q1(O) ∪ … ∪ qn(O)`.
@@ -132,17 +234,20 @@ pub fn evaluate_union_with(ont: &Ontology, q: &UnionQuery, threads: usize) -> BT
     // record nothing, so the trace shape is thread-count invariant.
     let _t = questpro_trace::span("engine.evaluate_union");
     let branches = q.branches();
-    let out = if branches.len() == 1 {
-        evaluate_with(ont, &branches[0], threads)
+    let (out, candidates) = if branches.len() == 1 {
+        evaluate_counted(ont, &branches[0], threads)
     } else {
-        let per_branch = map_chunked(branches, threads, |b| evaluate(ont, b));
+        let per_branch = map_chunked(branches, threads, |b| evaluate_counted(ont, b, 1));
         let mut out = BTreeSet::new();
-        for set in per_branch {
+        let mut candidates = 0;
+        for (set, checked) in per_branch {
             out.extend(set);
+            candidates += checked;
         }
-        out
+        (out, candidates)
     };
     questpro_trace::add("branches", branches.len() as u64);
+    questpro_trace::add("candidates", candidates as u64);
     questpro_trace::add("results", out.len() as u64);
     if questpro_log::enabled(questpro_log::Level::Trace) {
         questpro_log::emit(
@@ -151,6 +256,7 @@ pub fn evaluate_union_with(ont: &Ontology, q: &UnionQuery, threads: usize) -> BT
             "union query evaluated",
             vec![
                 ("branches", branches.len().into()),
+                ("candidates", candidates.into()),
                 ("results", out.len().into()),
                 ("threads", threads.into()),
             ],
@@ -437,5 +543,151 @@ mod tests {
         b.project(x);
         let q = b.build().unwrap();
         assert_eq!(evaluate(&o, &q).len(), o.node_count());
+    }
+
+    /// A co-authorship world: `papers` papers, each with two distinct
+    /// creators drawn from `authors` authors.
+    fn coauthor_world(authors: usize, papers: usize) -> Ontology {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut b = Ontology::builder();
+        for p in 0..papers {
+            let a1 = rng.random_range(0..authors);
+            let a2 = (a1 + rng.random_range(1..authors)) % authors;
+            for a in [a1, a2] {
+                b.edge_idempotent(&format!("paper{p}"), "creator", &format!("author{a}"));
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn anchor_query_checks_only_the_anchors_coauthors() {
+        let o = coauthor_world(400, 3000);
+        let creator = o.pred_by_name("creator").unwrap();
+        let anchor = o.node_by_value("author7").unwrap();
+        let coauthors: BTreeSet<NodeId> = o
+            .in_edges_with_pred(anchor, creator)
+            .iter()
+            .flat_map(|&te| o.out_edges_with_pred(o.edge(te).src, creator))
+            .map(|&te| o.edge(te).dst)
+            .collect();
+        let pool = o.edges_with_pred(creator).len();
+        assert!(coauthors.len() * 20 < pool, "the anchor must be selective");
+
+        // ?p :creator ?x . ?p :creator :author7
+        let mut b = SimpleQuery::builder();
+        let x = b.var("x");
+        let p = b.var("p");
+        let a = b.constant("author7");
+        b.edge(p, "creator", x).edge(p, "creator", a).project(x);
+        let q = b.build().unwrap();
+        let cands = projected_candidates(&o, &q);
+        assert_eq!(cands, coauthors.iter().copied().collect::<Vec<_>>());
+        assert_eq!(evaluate(&o, &q), coauthors);
+        // One existence check per co-author, not one per creator edge.
+        // Tests in this binary run concurrently and bump the same
+        // process-wide counter, so take the least delta of a few runs.
+        let checks = (0..50)
+            .map(|_| {
+                let before = crate::metrics::searches_total();
+                evaluate(&o, &q);
+                crate::metrics::searches_total() - before
+            })
+            .min()
+            .unwrap();
+        assert_eq!(checks, coauthors.len() as u64);
+    }
+
+    #[test]
+    fn constant_free_query_takes_the_cheapest_one_hop_pool() {
+        let mut b = Ontology::builder();
+        for i in 0..3 {
+            b.edge(&format!("x{i}"), "a", &format!("y{i}")).unwrap();
+        }
+        for i in 0..40 {
+            b.edge(&format!("z{i}"), "b", &format!("x{}", i % 5))
+                .unwrap();
+        }
+        let o = b.build();
+        let mut qb = SimpleQuery::builder();
+        let x = qb.var("x");
+        let y = qb.var("y");
+        let z = qb.var("z");
+        qb.edge(x, "a", y).edge(z, "b", x).project(x);
+        let q = qb.build().unwrap();
+        let a = o.pred_by_name("a").unwrap();
+        let mut pool: Vec<NodeId> = o
+            .edges_with_pred(a)
+            .iter()
+            .map(|&te| o.edge(te).src)
+            .collect();
+        pool.sort_unstable();
+        assert_eq!(projected_candidates(&o, &q), pool);
+        assert_eq!(evaluate(&o, &q).len(), 3);
+    }
+
+    #[test]
+    fn propagation_stops_at_the_pool_size_work_cap() {
+        // `hub` has 30 incoming `b` edges; the projected node's `a` pool
+        // holds 3, so spreading from the constant would read more index
+        // entries than the pool and the pass keeps the pool instead.
+        let mut b = Ontology::builder();
+        for i in 0..3 {
+            b.edge(&format!("x{i}"), "a", &format!("y{i}")).unwrap();
+        }
+        for i in 0..30 {
+            b.edge(&format!("x{i}"), "b", "hub").unwrap();
+        }
+        let o = b.build();
+        let mut qb = SimpleQuery::builder();
+        let x = qb.var("x");
+        let y = qb.var("y");
+        let hub = qb.constant("hub");
+        qb.edge(x, "a", y).edge(x, "b", hub).project(x);
+        let q = qb.build().unwrap();
+        assert_eq!(projected_candidates(&o, &q).len(), 3);
+        assert_eq!(evaluate(&o, &q).len(), 3);
+    }
+
+    #[test]
+    fn constants_two_hops_away_seed_the_projected_domain() {
+        // ?x is a co-author of a co-author ?y of Erdos.
+        let o = ontology();
+        let mut b = SimpleQuery::builder();
+        let x = b.var("x");
+        let p = b.var("p");
+        let y = b.var("y");
+        let p2 = b.var("p2");
+        let e = b.constant("Erdos");
+        b.edge(p, "wb", x)
+            .edge(p, "wb", y)
+            .edge(p2, "wb", y)
+            .edge(p2, "wb", e)
+            .project(x);
+        let q = b.build().unwrap();
+        let names = |ns: &[NodeId]| ns.iter().map(|&n| o.value_str(n)).collect::<Vec<_>>();
+        let cands = projected_candidates(&o, &q);
+        // Authors within two co-authorships of Erdos: everyone but Alice.
+        let mut got = names(&cands);
+        got.sort_unstable();
+        assert_eq!(got, ["Bob", "Carol", "Dave", "Erdos"]);
+        let results: Vec<NodeId> = evaluate(&o, &q).into_iter().collect();
+        assert_eq!(results, cands);
+    }
+
+    #[test]
+    fn unknown_constant_or_predicate_gives_no_candidates() {
+        let o = ontology();
+        let mut b = SimpleQuery::builder();
+        let x = b.var("x");
+        let p = b.var("p");
+        let ghost = b.constant("Ghost");
+        b.edge(p, "wb", x).edge(p, "wb", ghost).project(x);
+        assert!(projected_candidates(&o, &b.build().unwrap()).is_empty());
+        let mut b = SimpleQuery::builder();
+        let x = b.var("x");
+        let p = b.var("p");
+        b.edge(p, "wb", x).edge(p, "nope", x).project(x);
+        assert!(projected_candidates(&o, &b.build().unwrap()).is_empty());
     }
 }

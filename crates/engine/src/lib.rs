@@ -37,9 +37,7 @@ pub use consistency::{
     consistent_with_examples, consistent_with_explanation, find_onto_match, ConsistencyCache,
 };
 pub use contain::{contained_in, equivalent, union_contained_in, union_equivalent};
-pub use cost::{
-    edge_cost, estimate_scan, merge_pair_cost, ordering_mode, set_ordering_mode, OrderingMode,
-};
+pub use cost::{edge_cost, estimate_scan, merge_pair_cost};
 pub use difference::{difference, difference_with_witness};
 pub use eval::{
     evaluate, evaluate_union, evaluate_union_with, evaluate_with, exists_match, provenance_of,

@@ -9,10 +9,8 @@
 //!
 //! [`Matcher`] resolves a query against an ontology once (constants →
 //! node ids, predicates → pred ids), orders the pattern edges by
-//! estimated scan cost (see [`crate::cost`]; the pre-cost
-//! most-constrained-first heuristic remains available as an ablation
-//! mode), and then backtracks. It supports four orthogonal refinements
-//! used across the system:
+//! estimated scan cost (see [`crate::cost`]), and then backtracks. It
+//! supports four orthogonal refinements used across the system:
 //!
 //! * **bindings** ([`Matcher::bind`]) — pre-assign query nodes, used to
 //!   anchor evaluation at a candidate result and to compute the
@@ -149,8 +147,8 @@ pub struct Matcher<'a> {
     restrict: Option<&'a Subgraph>,
     /// Require the image to cover the restriction subgraph (onto).
     onto: bool,
-    /// Use plain declaration order instead of most-constrained-first
-    /// (ablation knob; see `sequential_order`).
+    /// Use plain declaration order instead of the cost-based order
+    /// (see `sequential_order`).
     sequential: bool,
     /// Disequality partners per query node.
     diseq_partners: Vec<Vec<usize>>,
@@ -284,10 +282,10 @@ impl<'a> Matcher<'a> {
         self
     }
 
-    /// Matches required edges in declaration order instead of
-    /// most-constrained-first. Results are identical; only the search
-    /// cost changes — this exists so the ordering heuristic can be
-    /// measured (bench `matching/ordering`).
+    /// Matches required edges in declaration order instead of the
+    /// cost-based order. Results are identical; only the search cost
+    /// changes — this exists so the ordering can be measured (bench
+    /// `matching/ordering`) and checked (`tests/cost_ordering.rs`).
     pub fn sequential_order(mut self) -> Self {
         self.sequential = true;
         self
@@ -646,66 +644,44 @@ impl<'a> Matcher<'a> {
         metrics::flush_search(state.expanded, state.matched);
     }
 
-    /// Static order over the *required* edges.
-    ///
-    /// Default ([`OrderingMode::CostBased`]): greedily pick the edge
+    /// Static order over the *required* edges: greedily pick the edge
     /// with the smallest estimated candidate scan under the current
     /// binding state, using the Volcano-style estimator over columnar
     /// predicate statistics (`crate::cost`). Ties break toward more
     /// bound endpoints, then lowest edge index, so the order is fully
-    /// deterministic.
-    ///
-    /// [`OrderingMode::Classic`] restores the pre-cost heuristic
-    /// (most bound endpoints, then smallest raw predicate pool) for
-    /// ablation. Either way the *match set* is identical — ordering
-    /// only moves search effort.
+    /// deterministic. The *match set* does not depend on the order —
+    /// ordering only moves search effort.
     fn edge_order(&self, initial: &[Option<NodeId>]) -> Vec<usize> {
         if self.sequential {
             return self.required.clone();
         }
-        let classic = crate::cost::ordering_mode() == crate::cost::OrderingMode::Classic;
         let mut bound: Vec<bool> = initial.iter().map(Option::is_some).collect();
         let mut remaining: Vec<usize> = self.required.clone();
         let mut order = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
-            let pos = if classic {
-                remaining
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &ei)| {
-                        let e = &self.q.edges()[ei];
-                        let b = bound[e.src.index()] as usize + bound[e.dst.index()] as usize;
-                        let pool = self.pool_size(self.preds[ei]);
-                        // Higher is better: more bound endpoints, smaller pool.
-                        (b, usize::MAX - pool)
-                    })
-                    .map(|(pos, _)| pos)
-                    .expect("remaining is non-empty")
-            } else {
-                remaining
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, &ea), (_, &eb)| {
-                        let key = |ei: usize| {
-                            let e = &self.q.edges()[ei];
-                            let sb = bound[e.src.index()];
-                            let db = bound[e.dst.index()];
-                            let mut est = crate::cost::edge_cost(self.ont, self.preds[ei], sb, db);
-                            // A restriction caps every scan at its edge count.
-                            if let Some(sub) = self.restrict {
-                                est = est.min(sub.edge_count() as f64);
-                            }
-                            // Lower is better: cheaper scan, more bound
-                            // endpoints, then declaration order.
-                            (est, 2 - (sb as usize + db as usize), ei)
-                        };
-                        let (ca, ba, ia) = key(ea);
-                        let (cb, bb, ib) = key(eb);
-                        ca.total_cmp(&cb).then(ba.cmp(&bb)).then(ia.cmp(&ib))
-                    })
-                    .map(|(pos, _)| pos)
-                    .expect("remaining is non-empty")
+            let key = |ei: usize| {
+                let e = &self.q.edges()[ei];
+                let sb = bound[e.src.index()];
+                let db = bound[e.dst.index()];
+                let mut est = crate::cost::edge_cost(self.ont, self.preds[ei], sb, db);
+                // A restriction caps every scan at its edge count.
+                if let Some(sub) = self.restrict {
+                    est = est.min(sub.edge_count() as f64);
+                }
+                // Lower is better: cheaper scan, more bound endpoints,
+                // then declaration order.
+                (est, 2 - (sb as usize + db as usize), ei)
             };
+            let pos = remaining
+                .iter()
+                .enumerate()
+                .min_by(|(_, &ea), (_, &eb)| {
+                    let (ca, ba, ia) = key(ea);
+                    let (cb, bb, ib) = key(eb);
+                    ca.total_cmp(&cb).then(ba.cmp(&bb)).then(ia.cmp(&ib))
+                })
+                .map(|(pos, _)| pos)
+                .expect("remaining is non-empty");
             let best = remaining[pos];
             order.push(best);
             let e = &self.q.edges()[best];
@@ -714,13 +690,6 @@ impl<'a> Matcher<'a> {
             remaining.swap_remove(pos);
         }
         order
-    }
-
-    fn pool_size(&self, p: PredId) -> usize {
-        match self.restrict {
-            Some(sub) => sub.edge_count(),
-            None => self.ont.edges_with_pred(p).len(),
-        }
     }
 
     fn edge_allowed(&self, e: EdgeId) -> bool {

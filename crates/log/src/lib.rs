@@ -440,24 +440,29 @@ pub fn set_capacity(cap: usize) {
 }
 
 /// Returns up to `limit` of the most recent *flushed* events at or
-/// above `min_level`, newest first. Call [`flush`] first to include
-/// this thread's pending events.
+/// above `min_level`, newest (highest `seq`) first. Call [`flush`]
+/// first to include this thread's pending events.
+///
+/// Threads flush their buffers into the ring in batches, so ring order
+/// is not `seq` order; the matching events are sorted before the cut.
 pub fn recent(limit: usize, min_level: Level) -> Vec<Event> {
     let ring = lock_ring();
-    let newest_first = ring.latest(ring.len());
-    newest_first
+    let mut events: Vec<&Event> = ring
+        .latest(ring.len())
         .into_iter()
         .filter(|e| e.level >= min_level)
-        .take(limit)
-        .cloned()
-        .collect()
+        .collect();
+    events.sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
+    events.into_iter().take(limit).cloned().collect()
 }
 
-/// Removes and returns every retained event, oldest first. The drop
-/// counter is untouched, so `emitted == drained + retained + dropped`
-/// stays exact across interleaved emits and drains.
+/// Removes and returns every retained event, oldest (lowest `seq`)
+/// first. The drop counter is untouched, so `emitted == drained +
+/// retained + dropped` stays exact across interleaved emits and drains.
 pub fn take_all() -> Vec<Event> {
-    lock_ring().drain()
+    let mut events = lock_ring().drain();
+    events.sort_unstable_by_key(|e| e.seq);
+    events
 }
 
 /// Total events evicted from the ring since the last [`set_capacity`]

@@ -360,6 +360,24 @@ fn slow_query_log(state: &AppState, label: &'static str, rec: &questpro_trace::T
     for (stage, _calls, self_ns) in rec.stage_totals() {
         fields.push((stage, self_ns.into()));
     }
+    // Candidates checked against results found: a candidate scan that
+    // outgrows its results shows here without a profiler.
+    let evals: Vec<_> = rec
+        .spans
+        .iter()
+        .filter(|s| s.name == "engine.evaluate_union")
+        .collect();
+    if !evals.is_empty() {
+        for key in ["candidates", "results"] {
+            let n: u64 = evals
+                .iter()
+                .flat_map(|s| &s.counters)
+                .filter(|(k, _)| *k == key)
+                .map(|(_, n)| n)
+                .sum();
+            fields.push((key, n.into()));
+        }
+    }
     questpro_log::emit_traced(
         Some(rec.id),
         Level::Warn,

@@ -10,7 +10,7 @@ use questpro::prelude::*;
 use questpro::query::QueryNodeId;
 use questpro::rng::{Rng, StdRng};
 
-const CASES: usize = 96;
+const CASES: usize = 192;
 
 fn arb_edges<R: Rng>(rng: &mut R) -> Vec<(u8, u8, u8)> {
     let want = rng.random_range(1..14usize);
@@ -36,22 +36,28 @@ fn build_ontology(edges: &[(u8, u8, u8)]) -> Ontology {
     b.build()
 }
 
-/// A random small query: a handful of variable nodes, optional constant,
-/// random edges between them, random diseqs.
+/// A small query over node slots: variables `x0..` first, then up to
+/// two constants (values `n{c}`); edge endpoints index the slots modulo
+/// their count. Optional edges join endpoints of required edges only,
+/// so every node is either required or isolated and the brute-force
+/// reference can ignore them.
 #[derive(Debug, Clone)]
 struct QuerySpec {
     nodes: usize,
-    constant: Option<u8>,
+    constants: Vec<u8>,
     edges: Vec<(u8, u8, u8)>,
+    optionals: Vec<(u8, u8, u8)>,
     diseq: Option<(u8, u8)>,
     projected: u8,
 }
 
+/// Random edges between random slots; the projected slot may land on a
+/// constant, which the query builder must reject.
 fn arb_query_spec<R: Rng>(rng: &mut R) -> QuerySpec {
     let nodes = rng.random_range(2..5usize);
-    let constant = rng
-        .random_bool(0.5)
-        .then(|| rng.random_range(0..6u32) as u8);
+    let constants = (0..rng.random_range(0..3usize))
+        .map(|_| rng.random_range(0..6u32) as u8)
+        .collect();
     let n_edges = rng.random_range(1..5usize);
     let edges = (0..n_edges)
         .map(|_| {
@@ -69,31 +75,90 @@ fn arb_query_spec<R: Rng>(rng: &mut R) -> QuerySpec {
         )
     });
     let projected = rng.random_range(0..5u32) as u8;
-    QuerySpec {
+    let mut spec = QuerySpec {
         nodes,
-        constant,
+        constants,
         edges,
+        optionals: Vec::new(),
         diseq,
         projected,
+    };
+    arb_optionals(rng, &mut spec);
+    spec
+}
+
+/// A path from the projected `x0` to a constant two to four hops away,
+/// each hop in a random direction, optionally with a second constant
+/// hanging off the path and optional edges along it.
+fn arb_chain_spec<R: Rng>(rng: &mut R) -> QuerySpec {
+    let hops = rng.random_range(2..5usize);
+    let pred = |rng: &mut R| rng.random_range(0..2u32) as u8;
+    let mut edges: Vec<(u8, u8, u8)> = (0..hops as u8)
+        .map(|i| {
+            let p = pred(rng);
+            if rng.random_bool(0.5) {
+                (i, p, i + 1)
+            } else {
+                (i + 1, p, i)
+            }
+        })
+        .collect();
+    let mut constants = vec![rng.random_range(0..6u32) as u8];
+    if rng.random_bool(0.5) {
+        constants.push(rng.random_range(0..6u32) as u8);
+        let at = rng.random_range(0..hops as u32) as u8;
+        let p = pred(rng);
+        edges.push((at, p, hops as u8 + 1));
+    }
+    let diseq = rng.random_bool(0.3).then(|| {
+        (
+            rng.random_range(0..hops as u32) as u8,
+            rng.random_range(0..hops as u32) as u8,
+        )
+    });
+    let mut spec = QuerySpec {
+        nodes: hops,
+        constants,
+        edges,
+        optionals: Vec::new(),
+        diseq,
+        projected: 0,
+    };
+    arb_optionals(rng, &mut spec);
+    spec
+}
+
+/// Adds zero to two optional edges between endpoints of required edges
+/// (on a chain, these run along the constant's path).
+fn arb_optionals<R: Rng>(rng: &mut R, spec: &mut QuerySpec) {
+    let ends: Vec<u8> = spec.edges.iter().flat_map(|&(s, _, d)| [s, d]).collect();
+    for _ in 0..rng.random_range(0..3usize) {
+        let s = ends[rng.random_range(0..ends.len())];
+        let d = ends[rng.random_range(0..ends.len())];
+        let p = rng.random_range(0..2u32) as u8;
+        spec.optionals.push((s, p, d));
     }
 }
 
-/// Builds the query; returns `None` when the spec is degenerate (e.g.
-/// projection on the constant).
+/// Builds the query; `None` when the projected slot is a constant,
+/// which the builder must refuse.
 fn build_query(spec: &QuerySpec) -> Option<SimpleQuery> {
     let mut b = QueryBuilder::new();
-    let total = spec.nodes + spec.constant.is_some() as usize;
+    let total = spec.nodes + spec.constants.len();
     let mut ids = Vec::new();
     for i in 0..spec.nodes {
         ids.push(b.var(&format!("x{i}")));
     }
-    if let Some(c) = spec.constant {
+    for c in &spec.constants {
         ids.push(b.constant(&format!("n{c}")));
     }
     let pick = |i: u8| ids[i as usize % total];
+    let pred = |p: u8| if p == 0 { "p" } else { "q" };
     for &(s, p, d) in &spec.edges {
-        let pred = if p == 0 { "p" } else { "q" };
-        b.edge(pick(s), pred, pick(d));
+        b.edge(pick(s), pred(p), pick(d));
+    }
+    for &(s, p, d) in &spec.optionals {
+        b.optional_edge(pick(s), pred(p), pick(d));
     }
     b.project(pick(spec.projected));
     if let Some((x, y)) = spec.diseq {
@@ -101,10 +166,18 @@ fn build_query(spec: &QuerySpec) -> Option<SimpleQuery> {
             b.diseq(pick(x), pick(y));
         }
     }
-    b.build().ok()
+    let projects_constant = spec.projected as usize % total >= spec.nodes;
+    let built = b.build();
+    assert_eq!(
+        built.is_err(),
+        projects_constant,
+        "a query must build exactly when it projects a variable: {spec:?}"
+    );
+    built.ok()
 }
 
-/// Reference semantics: try every total node assignment.
+/// Reference semantics: try every total node assignment against the
+/// required edges.
 fn brute_force(
     ont: &Ontology,
     q: &SimpleQuery,
@@ -122,7 +195,7 @@ fn brute_force(
                 Some(c) => ont.value_str(nodes[assign[i]]) == c,
                 None => true,
             }
-        }) && q.edges().iter().all(|e| {
+        }) && q.edges().iter().filter(|e| !e.optional).all(|e| {
             let s = nodes[assign[e.src.index()]];
             let d = nodes[assign[e.dst.index()]];
             ont.pred_by_name(&e.pred)
@@ -150,14 +223,20 @@ fn brute_force(
 }
 
 /// The optimized matcher agrees with the brute-force reference on
-/// result sets and on the number of homomorphisms — and the sharded
-/// parallel evaluator agrees with both.
+/// result sets and on the number of homomorphisms of the required
+/// pattern — and the sharded parallel evaluator agrees with both. Half
+/// the cases are constant-anchored chains, so the candidate-domain pass
+/// is checked on constants several hops from the projected node.
 #[test]
 fn matcher_matches_bruteforce() {
     let mut rng = StdRng::seed_from_u64(0xb1);
-    for _ in 0..CASES {
+    for case in 0..CASES {
         let edges = arb_edges(&mut rng);
-        let spec = arb_query_spec(&mut rng);
+        let spec = if case % 2 == 0 {
+            arb_query_spec(&mut rng)
+        } else {
+            arb_chain_spec(&mut rng)
+        };
         let o = build_ontology(&edges);
         let Some(q) = build_query(&spec) else {
             continue;
@@ -168,7 +247,9 @@ fn matcher_matches_bruteforce() {
             &got_results, &expected_results,
             "result sets differ for {q}"
         );
-        let got_count = Matcher::new(&o, &q).count();
+        // Optional edges extend matches; the reference counts
+        // homomorphisms of the required pattern.
+        let got_count = Matcher::new(&o, &q).skip_optionals().count();
         assert_eq!(got_count, expected_count, "match counts differ for {q}");
         for threads in [2usize, 4] {
             let par = questpro::engine::evaluate_with(&o, &q, threads);
