@@ -337,11 +337,15 @@ fn corrupt<R: Rng>(
             if let Some(ex) = list.first_mut() {
                 if let Some(&victim) = ex.edges().first() {
                     let d = ont.edge(victim);
-                    let replacement = ont
-                        .out_edges(d.src)
-                        .iter()
-                        .chain(ont.in_edges(d.src))
-                        .copied()
+                    // Adjacency spans are (pred, edge id)-ordered; the
+                    // sample draws from each side in edge-id order.
+                    let mut outs = ont.out_edges(d.src).to_vec();
+                    let mut ins = ont.in_edges(d.src).to_vec();
+                    outs.sort_unstable();
+                    ins.sort_unstable();
+                    let replacement = outs
+                        .into_iter()
+                        .chain(ins)
                         .filter(|&e| e != victim)
                         .choose(rng);
                     if let Some(r) = replacement {

@@ -1,12 +1,14 @@
 //! Columnar adjacency indexes and per-predicate statistics.
 //!
-//! The row-oriented indexes on [`Ontology`](crate::Ontology) (per-node
-//! `Vec<EdgeId>` adjacency) answer "all edges at `n`" well but make the
-//! matcher's hottest question — "edges at `n` labeled `p`" — a filter
-//! scan. This module stores the same adjacency **sorted by predicate**
-//! in flat u32 columns, so that question becomes a binary search over a
-//! contiguous span, and keeps per-predicate cardinality / distinct-count
-//! statistics that feed the engine's cost estimator.
+//! These columns are the ontology's only per-node adjacency: the SPO
+//! orientation groups edges by source node, the OPS orientation by
+//! target node, and each node's span is **sorted by predicate** in flat
+//! u32 columns. "All edges at `n`" is the whole span
+//! ([`Ontology::out_edges`](crate::Ontology::out_edges) /
+//! [`in_edges`](crate::Ontology::in_edges)); the matcher's hottest
+//! question — "edges at `n` labeled `p`" — is a binary search for a
+//! contiguous sub-span. Per-predicate cardinality / distinct-count
+//! statistics feed the engine's cost estimator.
 //!
 //! Layout (CSR-style):
 //!
@@ -18,10 +20,10 @@
 //!
 //! Within one node's span the edge ids for a given predicate appear in
 //! **ascending edge-id order** — exactly the order a filter scan of the
-//! insertion-ordered adjacency list would produce. Swapping the scan for
-//! the span is therefore a pure speedup: enumeration order, and hence
-//! every downstream sample and provenance set, is unchanged.
+//! edge table would produce, so every downstream sample and provenance
+//! set enumerates in edge-id order within a predicate.
 
+use crate::delta::{retained_capacity, Splice};
 use crate::ids::{EdgeId, NodeId, PredId};
 use crate::ontology::{EdgeCsr, EdgeData};
 
@@ -61,23 +63,146 @@ impl PredStats {
     }
 }
 
+/// One orientation of the columnar adjacency: node `i` owns
+/// `sorted[off[i]..off[i+1]]`, with `preds` mirroring `sorted` so the
+/// predicate binary search touches one flat u32 column. Each node span
+/// is sorted by (pred, edge id).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Spans {
+    sorted: Vec<EdgeId>,
+    preds: Vec<PredId>,
+    off: Vec<u32>,
+}
+
+impl Spans {
+    fn node_count(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    #[inline]
+    fn range(&self, n: NodeId) -> std::ops::Range<usize> {
+        self.off[n.index()] as usize..self.off[n.index() + 1] as usize
+    }
+
+    #[inline]
+    fn span(&self, n: NodeId) -> &[EdgeId] {
+        &self.sorted[self.range(n)]
+    }
+
+    #[inline]
+    fn with_pred(&self, n: NodeId, p: PredId) -> &[EdgeId] {
+        let r = self.range(n);
+        let span = &self.preds[r.clone()];
+        let a = r.start + span.partition_point(|&q| q.raw() < p.raw());
+        let b = r.start + span.partition_point(|&q| q.raw() <= p.raw());
+        &self.sorted[a..b]
+    }
+
+    /// OR of the signature bits of the predicates in `n`'s span.
+    fn pred_bits(&self, n: NodeId) -> u64 {
+        self.preds[self.range(n)]
+            .iter()
+            .fold(0, |acc, p| acc | 1u64 << (p.raw() & 63))
+    }
+
+    /// This orientation after the delta `s`. `touched` lists the nodes
+    /// incident to a deleted or inserted edge (ascending) and `inserts`
+    /// the inserted edges as `(node, pred, id)`, sorted. Every other node
+    /// keeps its span: consecutive untouched nodes are copied as one run
+    /// (a memcpy of the preds, a remap of the ids, a shift of the
+    /// offsets); only touched nodes are merged entry by entry.
+    fn splice(&self, s: &Splice<'_>, touched: &[u32], inserts: &[(u32, PredId, EdgeId)]) -> Spans {
+        let m = s.new_edges.len();
+        let mut next = Spans {
+            sorted: Vec::with_capacity(m),
+            preds: Vec::with_capacity(m),
+            off: Vec::with_capacity(retained_capacity(self.off.capacity(), s.node_count + 1)),
+        };
+        next.off.push(0);
+        let (mut from, mut k) = (0usize, 0usize);
+        for &t in touched {
+            let t = t as usize;
+            next.copy_untouched(self, s, from, t);
+            let k_hi = k + inserts[k..]
+                .iter()
+                .take_while(|i| i.0 as usize == t)
+                .count();
+            next.merge_touched(self, s, t, &inserts[k..k_hi]);
+            (from, k) = (t + 1, k_hi);
+        }
+        next.copy_untouched(self, s, from, s.node_count);
+        debug_assert_eq!(next.off.len(), s.node_count + 1);
+        next
+    }
+
+    /// Appends the spans of untouched nodes `from..to`: old nodes keep
+    /// their (surviving, remapped) entries, new nodes are empty.
+    fn copy_untouched(&mut self, old: &Spans, s: &Splice<'_>, from: usize, to: usize) {
+        let old_to = to.min(old.node_count());
+        if from < old_to {
+            let (lo, hi) = (old.off[from], old.off[old_to]);
+            let base = self.sorted.len() as u32;
+            let run = lo as usize..hi as usize;
+            self.preds.extend_from_slice(&old.preds[run.clone()]);
+            self.sorted
+                .extend(old.sorted[run].iter().map(|&e| s.survivor(e)));
+            self.off
+                .extend(old.off[from + 1..=old_to].iter().map(|&o| o - lo + base));
+        }
+        let end = self.sorted.len() as u32;
+        self.off
+            .resize(self.off.len() + (to - from.max(old_to)), end);
+    }
+
+    /// Appends node `t`'s span: a two-pointer merge by (pred, new edge
+    /// id) of its remapped survivors with its sorted inserts. Survivor
+    /// ids remap below `first_insert` and insert ids sit at or above it,
+    /// so the id comparison needs no special casing.
+    fn merge_touched(
+        &mut self,
+        old: &Spans,
+        s: &Splice<'_>,
+        t: usize,
+        inserts: &[(u32, PredId, EdgeId)],
+    ) {
+        let range = if t < old.node_count() {
+            old.range(NodeId::from_usize(t))
+        } else {
+            0..0
+        };
+        let mut j = 0;
+        for a in range {
+            let Some(e) = s.new_id(old.sorted[a]) else {
+                continue;
+            };
+            let p = old.preds[a];
+            while j < inserts.len() && (inserts[j].1, inserts[j].2) < (p, e) {
+                self.sorted.push(inserts[j].2);
+                self.preds.push(inserts[j].1);
+                j += 1;
+            }
+            self.sorted.push(e);
+            self.preds.push(p);
+        }
+        for &(_, p, e) in &inserts[j..] {
+            self.sorted.push(e);
+            self.preds.push(p);
+        }
+        self.off.push(self.sorted.len() as u32);
+    }
+}
+
 /// Sorted columnar adjacency (SPO / OPS orientations) plus statistics.
 ///
 /// Built once in [`OntologyBuilder::build`](crate::OntologyBuilder::build)
 /// and owned by the [`Ontology`](crate::Ontology); the POS orientation is
-/// the ontology's existing `by_pred` edge list.
+/// the ontology's `by_pred` edge list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnarIndexes {
-    // SPO orientation: out-adjacency grouped by source node, each span
-    // sorted by (pred, edge id). `out_preds` mirrors `out_sorted` so the
-    // predicate binary search touches one flat u32 column.
-    out_sorted: Vec<EdgeId>,
-    out_preds: Vec<PredId>,
-    out_off: Vec<u32>,
-    // OPS orientation: in-adjacency grouped by target node, same sort.
-    in_sorted: Vec<EdgeId>,
-    in_preds: Vec<PredId>,
-    in_off: Vec<u32>,
+    // SPO orientation: out-adjacency grouped by source node.
+    out: Spans,
+    // OPS orientation: in-adjacency grouped by target node.
+    in_: Spans,
     stats: Vec<PredStats>,
 }
 
@@ -139,15 +264,9 @@ impl ColumnarIndexes {
                 }
             }
         }
-        Self {
-            out_sorted,
-            out_preds,
-            out_off,
-            in_sorted,
-            in_preds,
-            in_off,
-            stats,
-        }
+        Self::from_sorted_parts(
+            out_sorted, out_preds, out_off, in_sorted, in_preds, in_off, stats,
+        )
     }
 
     /// Assembles columnar indexes from pre-sorted parts without a
@@ -183,229 +302,121 @@ impl ColumnarIndexes {
         debug_assert!(out_off.windows(2).all(|w| w[0] <= w[1]));
         debug_assert!(in_off.windows(2).all(|w| w[0] <= w[1]));
         Self {
-            out_sorted,
-            out_preds,
-            out_off,
-            in_sorted,
-            in_preds,
-            in_off,
+            out: Spans {
+                sorted: out_sorted,
+                preds: out_preds,
+                off: out_off,
+            },
+            in_: Spans {
+                sorted: in_sorted,
+                preds: in_preds,
+                off: in_off,
+            },
             stats,
         }
     }
 
-    /// Incrementally maintains the columnar block across a triple delta
-    /// instead of rebuilding it from scratch.
+    /// Maintains the columnar block across the delta `s` instead of
+    /// rebuilding it from scratch.
     ///
-    /// Inputs describe the already-applied delta: `new_edges` is the new
-    /// edge table (survivors first, in old relative order, then inserted
-    /// edges), `deleted[e]` marks old edge ids that were dropped,
-    /// `remap[e]` carries each survivor's new id (monotone, so spans
-    /// sorted by `(pred, old id)` stay sorted by `(pred, new id)`), and
-    /// ids `>= first_insert` are the inserted edges. Each node span is
-    /// produced by a two-pointer merge of its remapped survivors with its
-    /// sorted inserts; per-predicate statistics are adjusted from the
+    /// Each orientation is spliced (see the module docs of
+    /// [`delta`](crate::delta)): untouched nodes are bulk-copied with
+    /// their ids remapped, touched nodes merge their survivors with their
+    /// sorted inserts. Per-predicate statistics are adjusted from the
     /// affected `(node, pred)` pairs only — `cardinality` by signed
     /// counts, the distinct counts by comparing old-span/new-span
     /// emptiness. The result is bit-identical to a from-scratch
-    /// [`ColumnarIndexes`] build over `new_edges` (pinned by the delta
-    /// differential tests).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn apply_delta(
-        &self,
-        old_edges: &[EdgeData],
-        new_edges: &[EdgeData],
-        deleted: &[bool],
-        remap: &[u32],
-        old_node_count: usize,
-        new_node_count: usize,
-        new_pred_count: usize,
-        first_insert: u32,
-    ) -> Self {
-        let m_new = new_edges.len();
-        // Per-node survivor-loss and insert-gain counts for both
-        // orientations.
-        let mut out_off = vec![0u32; new_node_count + 1];
-        let mut in_off = vec![0u32; new_node_count + 1];
-        for n in 0..old_node_count {
-            out_off[n + 1] = self.out_off[n + 1] - self.out_off[n];
-            in_off[n + 1] = self.in_off[n + 1] - self.in_off[n];
-        }
-        for (e, d) in old_edges.iter().enumerate() {
-            if deleted[e] {
-                out_off[d.src.index() + 1] -= 1;
-                in_off[d.dst.index() + 1] -= 1;
-            }
-        }
-        // Inserted edges, sorted per node by (pred, id) for the merge.
-        let mut ins_out: Vec<(u32, PredId, EdgeId)> = Vec::new();
-        let mut ins_in: Vec<(u32, PredId, EdgeId)> = Vec::new();
-        for (i, &d) in new_edges.iter().enumerate().skip(first_insert as usize) {
-            let e = EdgeId::from_usize(i);
+    /// [`ColumnarIndexes`] build over the new edge table (asserted in
+    /// debug builds and pinned by the delta differential tests).
+    pub(crate) fn apply_delta(&self, s: &Splice<'_>) -> Self {
+        let mut ins_out: Vec<(u32, PredId, EdgeId)> = Vec::with_capacity(s.inserted().len());
+        let mut ins_in: Vec<(u32, PredId, EdgeId)> = Vec::with_capacity(s.inserted().len());
+        for (i, d) in s.inserted().iter().enumerate() {
+            let e = EdgeId::from_usize(s.first_insert + i);
             ins_out.push((d.src.raw(), d.pred, e));
             ins_in.push((d.dst.raw(), d.pred, e));
-            out_off[d.src.index() + 1] += 1;
-            in_off[d.dst.index() + 1] += 1;
         }
-        ins_out.sort_unstable_by_key(|&(n, p, e)| (n, p.raw(), e.raw()));
-        ins_in.sort_unstable_by_key(|&(n, p, e)| (n, p.raw(), e.raw()));
-        for i in 0..new_node_count {
-            out_off[i + 1] += out_off[i];
-            in_off[i + 1] += in_off[i];
-        }
-        let merge = |old_off: &[u32],
-                     old_sorted: &[EdgeId],
-                     old_preds: &[PredId],
-                     new_off: &[u32],
-                     inserts: &[(u32, PredId, EdgeId)]|
-         -> (Vec<EdgeId>, Vec<PredId>) {
-            let mut sorted = vec![EdgeId::new(0); m_new];
-            let mut preds = vec![PredId::new(0); m_new];
-            let mut k = 0usize; // cursor into the per-node sorted inserts
-            for n in 0..new_node_count {
-                let mut w = new_off[n] as usize;
-                let (mut a, a_hi) = if n < old_node_count {
-                    (old_off[n] as usize, old_off[n + 1] as usize)
-                } else {
-                    (0, 0)
-                };
-                let k_hi = {
-                    let mut j = k;
-                    while j < inserts.len() && inserts[j].0 == n as u32 {
-                        j += 1;
-                    }
-                    j
-                };
-                // Two-pointer merge by (pred, new edge id). Survivor ids
-                // remap below first_insert, insert ids at or above it, so
-                // the id comparison needs no special casing.
-                while a < a_hi || k < k_hi {
-                    let surv = loop {
-                        if a >= a_hi {
-                            break None;
-                        }
-                        let e_old = old_sorted[a];
-                        if deleted[e_old.index()] {
-                            a += 1;
-                            continue;
-                        }
-                        break Some((old_preds[a], EdgeId::new(remap[e_old.index()])));
-                    };
-                    let take_insert = match (surv, k < k_hi) {
-                        (None, true) => true,
-                        (None, false) => break,
-                        (Some(_), false) => false,
-                        (Some((sp, se)), true) => {
-                            let (_, ip, ie) = inserts[k];
-                            (ip.raw(), ie.raw()) < (sp.raw(), se.raw())
-                        }
-                    };
-                    if take_insert {
-                        let (_, p, e) = inserts[k];
-                        sorted[w] = e;
-                        preds[w] = p;
-                        k += 1;
-                    } else {
-                        let (p, e) = surv.expect("survivor present");
-                        sorted[w] = e;
-                        preds[w] = p;
-                        a += 1;
-                    }
-                    w += 1;
-                }
-            }
-            (sorted, preds)
-        };
-        let (out_sorted, out_preds) = merge(
-            &self.out_off,
-            &self.out_sorted,
-            &self.out_preds,
-            &out_off,
-            &ins_out,
-        );
-        let (in_sorted, in_preds) = merge(
-            &self.in_off,
-            &self.in_sorted,
-            &self.in_preds,
-            &in_off,
-            &ins_in,
-        );
+        ins_out.sort_unstable();
+        ins_in.sort_unstable();
+        let out = self.out.splice(s, &s.touched_out, &ins_out);
+        let in_ = self.in_.splice(s, &s.touched_in, &ins_in);
         // Statistics: cardinality by signed per-pred counts; distinct
         // subject/object counts by re-testing span emptiness for the
         // touched (node, pred) pairs only.
         let mut stats = self.stats.clone();
-        stats.resize(new_pred_count, PredStats::default());
-        let mut touched_out: Vec<(u32, PredId)> = Vec::new();
-        let mut touched_in: Vec<(u32, PredId)> = Vec::new();
-        for (e, d) in old_edges.iter().enumerate() {
-            if deleted[e] {
-                stats[d.pred.index()].cardinality -= 1;
-                touched_out.push((d.src.raw(), d.pred));
-                touched_in.push((d.dst.raw(), d.pred));
+        stats.resize(s.pred_count, PredStats::default());
+        let mut pairs_out: Vec<(u32, PredId)> = Vec::new();
+        let mut pairs_in: Vec<(u32, PredId)> = Vec::new();
+        for d in s.deleted_edges() {
+            stats[d.pred.index()].cardinality -= 1;
+            pairs_out.push((d.src.raw(), d.pred));
+            pairs_in.push((d.dst.raw(), d.pred));
+        }
+        for d in s.inserted() {
+            stats[d.pred.index()].cardinality += 1;
+            pairs_out.push((d.src.raw(), d.pred));
+            pairs_in.push((d.dst.raw(), d.pred));
+        }
+        let adjust = |pairs: &mut Vec<(u32, PredId)>,
+                      old: &Spans,
+                      new: &Spans,
+                      stats: &mut [PredStats],
+                      count: fn(&mut PredStats) -> &mut u32| {
+            pairs.sort_unstable();
+            pairs.dedup();
+            for &(n, p) in pairs.iter() {
+                let node = NodeId::new(n);
+                let was = node.index() < old.node_count() && !old.with_pred(node, p).is_empty();
+                let now = !new.with_pred(node, p).is_empty();
+                match (was, now) {
+                    (false, true) => *count(&mut stats[p.index()]) += 1,
+                    (true, false) => *count(&mut stats[p.index()]) -= 1,
+                    _ => {}
+                }
             }
-        }
-        for &(n, p, _) in &ins_out {
-            stats[p.index()].cardinality += 1;
-            touched_out.push((n, p));
-        }
-        for &(n, p, _) in &ins_in {
-            touched_in.push((n, p));
-        }
-        touched_out.sort_unstable();
-        touched_out.dedup();
-        touched_in.sort_unstable();
-        touched_in.dedup();
-        let fresh = Self {
-            out_sorted,
-            out_preds,
-            out_off,
-            in_sorted,
-            in_preds,
-            in_off,
-            stats: Vec::new(),
         };
-        for &(n, p) in &touched_out {
-            let node = NodeId::new(n);
-            let was = (n as usize) < old_node_count && !self.out_with_pred(node, p).is_empty();
-            let now = !fresh.out_with_pred(node, p).is_empty();
-            match (was, now) {
-                (false, true) => stats[p.index()].distinct_subjects += 1,
-                (true, false) => stats[p.index()].distinct_subjects -= 1,
-                _ => {}
-            }
-        }
-        for &(n, p) in &touched_in {
-            let node = NodeId::new(n);
-            let was = (n as usize) < old_node_count && !self.in_with_pred(node, p).is_empty();
-            let now = !fresh.in_with_pred(node, p).is_empty();
-            match (was, now) {
-                (false, true) => stats[p.index()].distinct_objects += 1,
-                (true, false) => stats[p.index()].distinct_objects -= 1,
-                _ => {}
-            }
-        }
-        Self { stats, ..fresh }
+        adjust(&mut pairs_out, &self.out, &out, &mut stats, |st| {
+            &mut st.distinct_subjects
+        });
+        adjust(&mut pairs_in, &self.in_, &in_, &mut stats, |st| {
+            &mut st.distinct_objects
+        });
+        Self { out, in_, stats }
+    }
+
+    /// All outgoing edges of `n`, sorted by (pred, edge id).
+    #[inline]
+    pub fn out_span(&self, n: NodeId) -> &[EdgeId] {
+        self.out.span(n)
+    }
+
+    /// All incoming edges of `n`, sorted by (pred, edge id).
+    #[inline]
+    pub fn in_span(&self, n: NodeId) -> &[EdgeId] {
+        self.in_.span(n)
     }
 
     /// Outgoing edges of `n` labeled `p`, in ascending edge-id order.
     #[inline]
     pub fn out_with_pred(&self, n: NodeId, p: PredId) -> &[EdgeId] {
-        let lo = self.out_off[n.index()] as usize;
-        let hi = self.out_off[n.index() + 1] as usize;
-        let span = &self.out_preds[lo..hi];
-        let a = lo + span.partition_point(|&q| q.raw() < p.raw());
-        let b = lo + span.partition_point(|&q| q.raw() <= p.raw());
-        &self.out_sorted[a..b]
+        self.out.with_pred(n, p)
     }
 
     /// Incoming edges of `n` labeled `p`, in ascending edge-id order.
     #[inline]
     pub fn in_with_pred(&self, n: NodeId, p: PredId) -> &[EdgeId] {
-        let lo = self.in_off[n.index()] as usize;
-        let hi = self.in_off[n.index() + 1] as usize;
-        let span = &self.in_preds[lo..hi];
-        let a = lo + span.partition_point(|&q| q.raw() < p.raw());
-        let b = lo + span.partition_point(|&q| q.raw() <= p.raw());
-        &self.in_sorted[a..b]
+        self.in_.with_pred(n, p)
+    }
+
+    /// Signature word of `n`'s outgoing predicates (see
+    /// [`Ontology::out_signature`](crate::Ontology::out_signature)).
+    pub(crate) fn out_pred_bits(&self, n: NodeId) -> u64 {
+        self.out.pred_bits(n)
+    }
+
+    /// Signature word of `n`'s incoming predicates.
+    pub(crate) fn in_pred_bits(&self, n: NodeId) -> u64 {
+        self.in_.pred_bits(n)
     }
 
     /// Statistics for predicate `p` (zeroed if out of range).
@@ -433,22 +444,17 @@ mod tests {
         b.edge("paper2", "cites", "paper1").unwrap();
         b.edge("paper1", "cites", "paper2").unwrap();
         let o = b.build();
+        // The oracle is the edge table itself, filtered in ascending id
+        // order — independent of the columnar block under test.
+        let scan = |keep: &dyn Fn(crate::EdgeData) -> bool| -> Vec<_> {
+            o.edge_ids().filter(|&e| keep(o.edge(e))).collect()
+        };
         for n in o.node_ids() {
             for praw in 0..o.pred_count() {
                 let p = crate::ids::PredId::from_usize(praw);
-                let scan_out: Vec<_> = o
-                    .out_edges(n)
-                    .iter()
-                    .copied()
-                    .filter(|&e| o.edge(e).pred == p)
-                    .collect();
+                let scan_out = scan(&|d| d.src == n && d.pred == p);
                 assert_eq!(o.out_edges_with_pred(n, p), scan_out.as_slice());
-                let scan_in: Vec<_> = o
-                    .in_edges(n)
-                    .iter()
-                    .copied()
-                    .filter(|&e| o.edge(e).pred == p)
-                    .collect();
+                let scan_in = scan(&|d| d.dst == n && d.pred == p);
                 assert_eq!(o.in_edges_with_pred(n, p), scan_in.as_slice());
             }
         }

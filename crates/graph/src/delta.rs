@@ -5,20 +5,34 @@
 //! sessions keep reading the version they pinned while new sessions see
 //! the head (copy-on-write versioning in `questpro-server`).
 //!
-//! What "incremental" means here, versus rebuilding from text:
+//! A new version costs one sequential copy of the previous one plus work
+//! on the nodes the batch touches. What that means, versus rebuilding
+//! from text:
 //!
 //! * the three label interners are reused append-only — no label is
-//!   re-hashed or re-copied (for arena-backed interners a clone is a
-//!   handful of memcpys);
+//!   re-hashed or re-copied: label bytes are `Arc`-shared between
+//!   versions, only the overflow id table is copied;
 //! * node ids are stable: nodes are never deleted (a triple delete can
 //!   leave an isolated node, which keeps its id), inserts append;
 //! * edge ids are **stable for insert-only deltas**; deletes compact the
-//!   edge table with a monotone old→new remap (relative order kept), so
-//!   sorted columnar spans remain sorted after remapping;
-//! * the columnar SPO/OPS block is delta-maintained (survivor remap +
-//!   per-node merge of inserts + statistics adjustment) instead of being
-//!   recounted from scratch; the row CSRs and signature words are
-//!   re-derived by linear counting passes over the u32 edge table.
+//!   edge table run by run between the sorted deleted ids, a monotone
+//!   old→new remap (relative order kept), so sorted spans remain sorted
+//!   after remapping. Every surviving id in every index goes through
+//!   that one table, wherever in the edge table the deletes fall;
+//! * every index is spliced, never recounted. Each columnar SPO/OPS
+//!   orientation copies each run of untouched nodes in bulk (a memcpy of
+//!   the preds, a remap of the ids) and merges survivors with inserts
+//!   only on touched nodes — those incident to a deleted or inserted
+//!   edge. `by_pred` copies each predicate's survivors, then its
+//!   inserts. Signature words are copied, and only touched nodes are
+//!   recomputed from their new span. Per-predicate statistics are
+//!   adjusted from the touched `(node, pred)` pairs;
+//! * per-version node-indexed arrays keep their predecessor's capacity
+//!   (`retained_capacity`), so consecutive versions request identical
+//!   allocation sizes and reuse the blocks of evicted versions.
+//!
+//! Debug builds assert after every delta that the spliced columnar
+//! block, `by_pred` and signature words equal a from-scratch build.
 //!
 //! The correctness oracle for all of this is differential: after any
 //! update sequence the incremental ontology must behave identically to
@@ -28,9 +42,9 @@
 
 use crate::error::GraphError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::ids::{NodeId, PredId, ValueId};
+use crate::ids::{EdgeId, NodeId, PredId, ValueId};
 use crate::interner::Interner;
-use crate::ontology::{index_edges, EdgeData, NodeData, Ontology, ValueLookup};
+use crate::ontology::{index_edges, EdgeCsr, EdgeData, NodeData, Ontology, ValueLookup};
 
 /// A batch of triple updates: deletes are applied first, then inserts.
 ///
@@ -123,6 +137,156 @@ fn node_of(
     n
 }
 
+/// Capacity policy for the per-version node-indexed arrays (node table,
+/// signature words, columnar offsets, interner overflow): a copy keeps
+/// its predecessor's capacity and grows by an eighth only when full.
+/// Consecutive versions then request identical allocation sizes, so the
+/// allocator can hand each new version the blocks of the version the
+/// registry just evicted instead of fragmenting the heap.
+pub(crate) fn retained_capacity(prev_cap: usize, len: usize) -> usize {
+    if len <= prev_cap {
+        prev_cap
+    } else {
+        len + len / 8
+    }
+}
+
+/// What a validated delta does to the edge table, shared by every index
+/// splice: survivors keep their relative order and are compacted past
+/// the deleted ids, inserts append from `first_insert` on.
+pub(crate) struct Splice<'a> {
+    /// The previous version's edge table.
+    old_edges: &'a [EdgeData],
+    /// The new edge table: survivors, then inserts.
+    pub(crate) new_edges: &'a [EdgeData],
+    /// Deleted old edge ids, ascending.
+    dels: &'a [u32],
+    /// New id of the first inserted edge (= the survivor count).
+    pub(crate) first_insert: usize,
+    /// `remap[e]` is the new id of old edge `e`, `u32::MAX` if deleted.
+    remap: Vec<u32>,
+    /// Nodes incident to a deleted or inserted edge as its source
+    /// (`touched_out`) or target (`touched_in`), ascending: the only
+    /// nodes whose spans and signature words change.
+    pub(crate) touched_out: Vec<u32>,
+    pub(crate) touched_in: Vec<u32>,
+    /// Node and predicate counts of the new version.
+    pub(crate) node_count: usize,
+    pub(crate) pred_count: usize,
+}
+
+impl<'a> Splice<'a> {
+    fn new(
+        old_edges: &'a [EdgeData],
+        new_edges: &'a [EdgeData],
+        dels: &'a [u32],
+        node_count: usize,
+        pred_count: usize,
+    ) -> Self {
+        // Each run of survivors between deleted ids shifts down by the
+        // number of deletes below it.
+        let mut remap = Vec::with_capacity(old_edges.len());
+        let mut run_start = 0u32;
+        for (below, &d) in (0u32..).zip(dels) {
+            remap.extend(run_start - below..d - below);
+            remap.push(u32::MAX);
+            run_start = d + 1;
+        }
+        let next = (old_edges.len() - dels.len()) as u32;
+        remap.extend(run_start - dels.len() as u32..next);
+        let touched = |end: fn(&EdgeData) -> NodeId| {
+            let mut v: Vec<u32> = dels
+                .iter()
+                .map(|&e| end(&old_edges[e as usize]))
+                .chain(new_edges[next as usize..].iter().map(end))
+                .map(NodeId::raw)
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        Splice {
+            old_edges,
+            new_edges,
+            dels,
+            first_insert: next as usize,
+            remap,
+            touched_out: touched(|d| d.src),
+            touched_in: touched(|d| d.dst),
+            node_count,
+            pred_count,
+        }
+    }
+
+    /// The inserted edges (ids `first_insert..`).
+    pub(crate) fn inserted(&self) -> &'a [EdgeData] {
+        &self.new_edges[self.first_insert..]
+    }
+
+    /// The deleted edges, by ascending old id.
+    pub(crate) fn deleted_edges(&self) -> impl Iterator<Item = &'a EdgeData> + '_ {
+        self.dels.iter().map(|&e| &self.old_edges[e as usize])
+    }
+
+    /// New id of old edge `e`, `None` if the delta deleted it.
+    #[inline]
+    pub(crate) fn new_id(&self, e: EdgeId) -> Option<EdgeId> {
+        let id = self.survivor(e);
+        (id.raw() != u32::MAX).then_some(id)
+    }
+
+    /// New id of an old edge known to survive.
+    #[inline]
+    pub(crate) fn survivor(&self, e: EdgeId) -> EdgeId {
+        EdgeId::new(self.remap[e.index()])
+    }
+
+    /// `by_pred` after the delta: each predicate's remapped survivors
+    /// (ascending, since the remap is monotone) followed by its inserts.
+    fn by_pred(&self, old: &EdgeCsr) -> EdgeCsr {
+        let mut inserts: Vec<(PredId, EdgeId)> = self
+            .inserted()
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (d.pred, EdgeId::from_usize(self.first_insert + i)))
+            .collect();
+        inserts.sort_unstable();
+        let mut off = Vec::with_capacity(self.pred_count + 1);
+        let mut ids = Vec::with_capacity(self.new_edges.len());
+        off.push(0);
+        let old_pred_count = old.off.len() - 1;
+        let mut k = 0;
+        for p in 0..self.pred_count {
+            if p < old_pred_count {
+                ids.extend(old.span(p).iter().filter_map(|&e| self.new_id(e)));
+            }
+            while k < inserts.len() && inserts[k].0.index() == p {
+                ids.push(inserts[k].1);
+                k += 1;
+            }
+            off.push(ids.len() as u32);
+        }
+        EdgeCsr { off, ids }
+    }
+
+    /// A signature vector after the delta: the old words copied, new
+    /// nodes zeroed, touched nodes recomputed from their new span.
+    fn signatures(
+        &self,
+        old: &Vec<u64>,
+        touched: &[u32],
+        bits: impl Fn(NodeId) -> u64,
+    ) -> Vec<u64> {
+        let mut sig = Vec::with_capacity(retained_capacity(old.capacity(), self.node_count));
+        sig.extend_from_slice(old);
+        sig.resize(self.node_count, 0);
+        for &n in touched {
+            sig[n as usize] = bits(NodeId::new(n));
+        }
+        sig
+    }
+}
+
 impl Ontology {
     /// Applies a batch of triple deletes-then-inserts, returning the new
     /// ontology version and a summary of what changed.
@@ -138,10 +302,10 @@ impl Ontology {
     /// surviving edge or another insert in the batch. On error, nothing
     /// is applied.
     pub fn apply_delta(&self, delta: &TripleDelta) -> Result<(Ontology, DeltaSummary), GraphError> {
-        let m_old = self.edges.len();
         let old_node_count = self.nodes.len();
-        let mut deleted = vec![false; m_old];
-        let mut deleted_count = 0usize;
+        // Deleted edge ids, in batch order until sorted below.
+        let mut dels: Vec<u32> = Vec::with_capacity(delta.deletes.len());
+        let mut deleted: FxHashSet<EdgeId> = FxHashSet::default();
         let mut pred_sig = 0u64;
         for [s, p, o] in &delta.deletes {
             let missing = || GraphError::MissingTriple {
@@ -153,18 +317,24 @@ impl Ontology {
             let pid = self.pred_by_name(p).ok_or_else(missing)?;
             let on = self.node_by_value(o).ok_or_else(missing)?;
             let e = self.find_edge(sn, pid, on).ok_or_else(missing)?;
-            if deleted[e.index()] {
+            if !deleted.insert(e) {
                 return Err(missing());
             }
-            deleted[e.index()] = true;
-            deleted_count += 1;
+            dels.push(e.raw());
             pred_sig |= self.pred_bit(pid);
         }
-        // Append-only reuse of the interners and node table.
-        let mut values = self.values.clone();
-        let mut preds = self.preds.clone();
+        dels.sort_unstable();
+        // Append-only reuse of the interners and node table. An insert
+        // names at most two new values and one new predicate.
+        let new_values = 2 * delta.inserts.len();
+        let mut values = self.values.fork(new_values);
+        let mut preds = self.preds.fork(delta.inserts.len());
         let types = self.types.clone();
-        let mut nodes = self.nodes.clone();
+        let mut nodes = Vec::with_capacity(retained_capacity(
+            self.nodes.capacity(),
+            old_node_count + new_values,
+        ));
+        nodes.extend_from_slice(&self.nodes);
         let mut value_map: Option<FxHashMap<ValueId, NodeId>> = match &self.value_to_node {
             ValueLookup::Identity => None,
             ValueLookup::Map(m) => Some(m.clone()),
@@ -186,7 +356,7 @@ impl Ontology {
                 && pid.index() < self.preds.len()
             {
                 if let Some(e) = self.find_edge(sn, pid, on) {
-                    if !deleted[e.index()] {
+                    if !deleted.contains(&e) {
                         return Err(duplicate());
                     }
                 }
@@ -202,35 +372,32 @@ impl Ontology {
             });
             pred_sig |= 1u64 << (pid.raw() & 63);
         }
-        // Compact survivors (monotone remap), append inserts.
-        let mut edges: Vec<EdgeData> = Vec::with_capacity(m_old - deleted_count + inserted.len());
-        let mut remap = vec![u32::MAX; m_old];
-        for (i, d) in self.edges.iter().enumerate() {
-            if !deleted[i] {
-                remap[i] = edges.len() as u32;
-                edges.push(*d);
-            }
+        // Compact survivors run by run between the deleted ids, then
+        // append the inserts.
+        let mut edges: Vec<EdgeData> =
+            Vec::with_capacity(self.edges.len() - dels.len() + inserted.len());
+        let mut run_start = 0usize;
+        for &d in &dels {
+            edges.extend_from_slice(&self.edges[run_start..d as usize]);
+            run_start = d as usize + 1;
         }
-        let first_insert = edges.len() as u32;
-        edges.extend(inserted.iter().copied());
-        let columnar = self.columnar.apply_delta(
-            &self.edges,
-            &edges,
-            &deleted,
-            &remap,
-            old_node_count,
-            nodes.len(),
-            preds.len(),
-            first_insert,
-        );
-        let (out_csr, in_csr, by_pred_csr, out_sig, in_sig) =
-            index_edges(nodes.len(), preds.len(), &edges);
+        edges.extend_from_slice(&self.edges[run_start..]);
+        edges.extend_from_slice(&inserted);
+        let splice = Splice::new(&self.edges, &edges, &dels, nodes.len(), preds.len());
+        let columnar = self.columnar.apply_delta(&splice);
+        let by_pred_csr = splice.by_pred(&self.by_pred_csr);
+        let out_sig = splice.signatures(&self.out_sig, &splice.touched_out, |n| {
+            columnar.out_pred_bits(n)
+        });
+        let in_sig = splice.signatures(&self.in_sig, &splice.touched_in, |n| {
+            columnar.in_pred_bits(n)
+        });
         let summary = DeltaSummary {
             inserted: inserted.len(),
-            deleted: deleted_count,
+            deleted: dels.len(),
             nodes_added: nodes.len() - old_node_count,
             pred_sig,
-            edge_ids_stable: deleted_count == 0,
+            edge_ids_stable: dels.is_empty(),
         };
         let next = Ontology {
             values,
@@ -238,8 +405,6 @@ impl Ontology {
             types,
             nodes,
             edges,
-            out_csr,
-            in_csr,
             by_pred_csr,
             value_to_node: match value_map {
                 None => ValueLookup::Identity,
@@ -250,6 +415,15 @@ impl Ontology {
             columnar,
         };
         debug_assert_eq!(next.columnar, next.rebuild_columnar());
+        debug_assert!(
+            index_edges(next.nodes.len(), next.preds.len(), &next.edges)
+                == (
+                    next.by_pred_csr.clone(),
+                    next.out_sig.clone(),
+                    next.in_sig.clone()
+                ),
+            "spliced by_pred/signature indexes drifted from a rebuild"
+        );
         Ok((next, summary))
     }
 }
@@ -306,6 +480,32 @@ mod tests {
             v
         };
         assert_eq!(render(inc), render(&scratch));
+    }
+
+    /// Every spliced index equals its from-scratch build, and the
+    /// adjacency spans hold exactly the edge table's incident edges.
+    fn assert_spliced_indexes_match_rebuild(o: &Ontology) {
+        assert_eq!(o.columnar, o.rebuild_columnar(), "columnar splice drifted");
+        assert!(
+            index_edges(o.nodes.len(), o.preds.len(), &o.edges)
+                == (o.by_pred_csr.clone(), o.out_sig.clone(), o.in_sig.clone()),
+            "by_pred/signature splice drifted"
+        );
+        let mut outs = vec![Vec::new(); o.node_count()];
+        let mut ins = vec![Vec::new(); o.node_count()];
+        for e in o.edge_ids() {
+            let d = o.edge(e);
+            outs[d.src.index()].push(e);
+            ins[d.dst.index()].push(e);
+        }
+        for n in o.node_ids() {
+            let mut out = o.out_edges(n).to_vec();
+            let mut inc = o.in_edges(n).to_vec();
+            out.sort_unstable();
+            inc.sort_unstable();
+            assert_eq!(out, outs[n.index()], "out_edges({n})");
+            assert_eq!(inc, ins[n.index()], "in_edges({n})");
+        }
     }
 
     #[test]
@@ -478,5 +678,155 @@ mod tests {
             o = next;
         }
         assert!(o.edge_count() > 10);
+    }
+
+    #[test]
+    fn spliced_indexes_match_rebuild_on_a_large_world() {
+        // ~2k nodes, so most nodes are untouched by any one batch and the
+        // bulk-copy runs between touched nodes carry the splice.
+        let mut rng = SplitMix64::seed_from_u64(0x5_11ce);
+        let mut o = {
+            let mut b = Ontology::builder();
+            for i in 0..2000u64 {
+                b.typed_node(&format!("n{i}"), "T").unwrap();
+            }
+            for _ in 0..6000 {
+                let s = format!("n{}", rng.next_u64() % 2000);
+                let p = format!("p{}", rng.next_u64() % 6);
+                let t = format!("n{}", rng.next_u64() % 2000);
+                b.edge_idempotent(&s, &p, &t);
+            }
+            b.build()
+        };
+        let triple = |o: &Ontology, e: EdgeId| {
+            let d = o.edge(e);
+            [
+                o.value_str(d.src).to_string(),
+                o.pred_str(d.pred).to_string(),
+                o.value_str(d.dst).to_string(),
+            ]
+        };
+        let own = |t: [&str; 3]| t.map(str::to_string);
+        let (mut new_pred, mut same_batch_node, mut stranded) = (false, false, false);
+        for round in 0..120 {
+            let mut d = TripleDelta::default();
+            for _ in 0..(1 + rng.next_u64() % 8) {
+                let e = EdgeId::from_usize((rng.next_u64() % o.edge_count() as u64) as usize);
+                let t = triple(&o, e);
+                if !d.deletes.contains(&t) {
+                    d.deletes.push(t);
+                }
+            }
+            for _ in 0..(1 + rng.next_u64() % 8) {
+                let t = [
+                    format!("n{}", rng.next_u64() % 2000),
+                    format!("p{}", rng.next_u64() % 6),
+                    format!("n{}", rng.next_u64() % 2000),
+                ];
+                let have = match (
+                    o.node_by_value(&t[0]),
+                    o.pred_by_name(&t[1]),
+                    o.node_by_value(&t[2]),
+                ) {
+                    (Some(a), Some(p), Some(b)) => o.find_edge(a, p, b).is_some(),
+                    _ => false,
+                };
+                if !have && !d.inserts.contains(&t) {
+                    d.inserts.push(t);
+                }
+            }
+            match round {
+                // A predicate the world has never seen.
+                10 => {
+                    d.inserts.push(own(["n1", &format!("fresh{round}"), "n2"]));
+                    new_pred = true;
+                }
+                // The second insert hits the node the first one creates.
+                20 => {
+                    d.inserts.push(own(["new20", "p0", "n3"]));
+                    d.inserts.push(own(["n4", "p1", "new20"]));
+                    same_batch_node = true;
+                }
+                // Delete every edge of one node, stranding it.
+                30 => {
+                    let n = o.node_by_value("n5").unwrap();
+                    for &e in o.out_edges(n).iter().chain(o.in_edges(n)) {
+                        let t = triple(&o, e);
+                        if !d.deletes.contains(&t) {
+                            d.deletes.push(t);
+                        }
+                    }
+                    d.inserts.retain(|t| t[0] != "n5" && t[2] != "n5");
+                    stranded = true;
+                }
+                _ => {}
+            }
+            assert!(!d.inserts.is_empty() && !d.deletes.is_empty());
+            let (next, sum) = o.apply_delta(&d).expect("valid generated delta");
+            assert_eq!(sum.deleted, d.deletes.len());
+            assert_eq!(sum.inserted, d.inserts.len());
+            assert_spliced_indexes_match_rebuild(&next);
+            if round == 30 {
+                assert_eq!(next.degree(next.node_by_value("n5").unwrap()), 0);
+            }
+            if round % 20 == 0 {
+                assert_matches_scratch(&next);
+            }
+            o = next;
+        }
+        assert!(new_pred && same_batch_node && stranded);
+        assert!(o.pred_by_name("fresh10").is_some());
+        assert!(o.node_by_value("new20").is_some());
+    }
+
+    #[test]
+    fn one_batch_of_thousands_of_deletes_splices_and_validates() {
+        let mut rng = SplitMix64::seed_from_u64(0xde1_e7e);
+        let o = {
+            let mut b = Ontology::builder();
+            for _ in 0..8000 {
+                let s = format!("n{}", rng.next_u64() % 3000);
+                let p = format!("p{}", rng.next_u64() % 5);
+                let t = format!("n{}", rng.next_u64() % 3000);
+                b.edge_idempotent(&s, &p, &t);
+            }
+            b.build()
+        };
+        let triple = |e: usize| {
+            let d = o.edge(EdgeId::from_usize(e));
+            [
+                o.value_str(d.src).to_string(),
+                o.pred_str(d.pred).to_string(),
+                o.value_str(d.dst).to_string(),
+            ]
+        };
+        // Delete every other edge, spread over the whole table and named
+        // in shuffled order, so the deletes reach far below the newest ids.
+        let mut ids: Vec<usize> = (0..o.edge_count()).step_by(2).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        let mut d = TripleDelta {
+            inserts: vec![["n0".into(), "fresh".into(), "n1".into()]],
+            deletes: ids.iter().map(|&e| triple(e)).collect(),
+        };
+        assert!(d.deletes.len() > 3000);
+        // A deleted triple may be re-inserted in the same batch.
+        d.inserts.push(triple(ids[0]));
+        let (next, sum) = o.apply_delta(&d).expect("valid large batch");
+        assert_eq!(sum.deleted, ids.len());
+        assert_eq!(next.edge_count(), o.edge_count() - ids.len() + 2);
+        assert_spliced_indexes_match_rebuild(&next);
+        assert_matches_scratch(&next);
+        // Re-inserting a surviving edge in the same large batch is a
+        // duplicate; repeating a delete at its end is a missing triple.
+        let mut dup = d.clone();
+        dup.inserts.push(triple(1));
+        let err = o.apply_delta(&dup).unwrap_err();
+        assert!(matches!(err, GraphError::DuplicateEdge { .. }), "{err}");
+        let mut repeat = d.clone();
+        repeat.deletes.push(triple(ids[ids.len() / 2]));
+        let err = o.apply_delta(&repeat).unwrap_err();
+        assert!(matches!(err, GraphError::MissingTriple { .. }), "{err}");
     }
 }

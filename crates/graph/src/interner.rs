@@ -6,8 +6,8 @@
 //!
 //! Two storage modes share one type:
 //!
-//! * **Dynamic** — one `Box<str>` per label plus a hash index; what the
-//!   incremental [`intern`](Interner::intern) path produces.
+//! * **Dynamic** — one shared `Arc<str>` per label plus a hash index;
+//!   what the incremental [`intern`](Interner::intern) path produces.
 //! * **Sorted arena** — all labels concatenated in one allocation with an
 //!   offset table, built by [`Interner::from_sorted_labels`] from an
 //!   already-sorted unique label set (the persistent store's dictionary
@@ -17,8 +17,15 @@
 //!   construction (live ontology updates) go to a dynamic overflow
 //!   section with ids continuing past the arena, so an arena-backed
 //!   interner still supports `intern`.
+//!
+//! Label bytes are immutable and shared (`Arc`) in both modes, so every
+//! ontology version [`Ontology::apply_delta`](crate::Ontology::apply_delta)
+//! derives reuses its predecessor's labels instead of copying them.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+
+use crate::delta::retained_capacity;
 
 /// Sorted label arena: `text[offs[i]..offs[i+1]]` is label `i`, labels
 /// strictly ascending.
@@ -61,10 +68,10 @@ impl SortedArena {
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
     /// Arena-backed prefix: ids `0..arena.len()` resolve here.
-    arena: Option<SortedArena>,
+    arena: Option<Arc<SortedArena>>,
     /// Dynamic labels; ids continue after the arena prefix.
-    strings: Vec<Box<str>>,
-    index: HashMap<Box<str>, u32>,
+    strings: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
 }
 
 impl Interner {
@@ -95,9 +102,10 @@ impl Interner {
     {
         let iter = labels.into_iter();
         let (lo, _) = iter.size_hint();
-        let mut strings: Vec<Box<str>> = Vec::with_capacity(lo);
-        let mut index: HashMap<Box<str>, u32> = HashMap::with_capacity(lo);
+        let mut strings: Vec<Arc<str>> = Vec::with_capacity(lo);
+        let mut index: HashMap<Arc<str>, u32> = HashMap::with_capacity(lo);
         for s in iter {
+            let s: Arc<str> = s.into();
             let i = u32::try_from(strings.len()).ok()?;
             if index.insert(s.clone(), i).is_some() {
                 return None;
@@ -140,10 +148,10 @@ impl Interner {
             u32::try_from(offs.len() - 1).ok()?;
         }
         Some(Self {
-            arena: Some(SortedArena {
+            arena: Some(Arc::new(SortedArena {
                 text: text.into_boxed_str(),
                 offs,
-            }),
+            })),
             strings: Vec::new(),
             index: HashMap::new(),
         })
@@ -151,7 +159,22 @@ impl Interner {
 
     #[inline]
     fn arena_len(&self) -> usize {
-        self.arena.as_ref().map_or(0, SortedArena::len)
+        self.arena.as_ref().map_or(0, |a| a.len())
+    }
+
+    /// A copy for the next ontology version with room for `additional`
+    /// new labels: label bytes are shared, not copied, and the overflow
+    /// table keeps its capacity (see [`retained_capacity`]).
+    pub(crate) fn fork(&self, additional: usize) -> Self {
+        let len = self.strings.len();
+        let mut strings =
+            Vec::with_capacity(retained_capacity(self.strings.capacity(), len + additional));
+        strings.extend(self.strings.iter().cloned());
+        Self {
+            arena: self.arena.clone(),
+            strings,
+            index: self.index.clone(),
+        }
     }
 
     /// Interns `s`, returning its index; re-interning returns the same
@@ -161,9 +184,9 @@ impl Interner {
             return i;
         }
         let i = u32::try_from(self.arena_len() + self.strings.len()).expect("interner overflow");
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.index.insert(boxed, i);
+        let label: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&label));
+        self.index.insert(label, i);
         i
     }
 

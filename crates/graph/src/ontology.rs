@@ -8,13 +8,14 @@
 //!    predicates.
 //!
 //! Once built, an [`Ontology`] is immutable and exposes the indexes the
-//! query engine needs: per-node in/out adjacency, a per-predicate edge
-//! list, and value→node lookup. All three row indexes are flat CSR
-//! arrays (offsets + one edge-id column) built by linear counting
-//! passes — no per-node allocations, which is what keeps snapshot
-//! cold-start at memcpy speed (see `questpro-store`). Point-in-time
-//! copies with batched triple inserts/deletes are produced by
-//! [`Ontology::apply_delta`](crate::delta) without re-interning.
+//! query engine needs: per-node in/out adjacency (the columnar SPO/OPS
+//! spans of [`ColumnarIndexes`]), a per-predicate edge list, and
+//! value→node lookup. Every index is a flat CSR array (offsets plus
+//! id columns) built by linear counting passes — no per-node
+//! allocations, which is what keeps snapshot cold-start at memcpy speed
+//! (see `questpro-store`). Point-in-time copies with batched triple
+//! inserts/deletes are produced by [`Ontology::apply_delta`](crate::delta)
+//! without re-interning.
 
 use std::collections::HashMap;
 
@@ -46,7 +47,7 @@ pub struct EdgeData {
 
 /// Flat CSR edge grouping: group `i` owns `ids[off[i]..off[i+1]]`, with
 /// edge ids ascending within each group (insertion order).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct EdgeCsr {
     pub(crate) off: Vec<u32>,
     pub(crate) ids: Vec<EdgeId>,
@@ -56,11 +57,6 @@ impl EdgeCsr {
     #[inline]
     pub(crate) fn span(&self, i: usize) -> &[EdgeId] {
         &self.ids[self.off[i] as usize..self.off[i + 1] as usize]
-    }
-
-    #[inline]
-    pub(crate) fn span_len(&self, i: usize) -> usize {
-        (self.off[i + 1] - self.off[i]) as usize
     }
 }
 
@@ -142,8 +138,6 @@ pub struct Ontology {
     pub(crate) types: Interner,
     pub(crate) nodes: Vec<NodeData>,
     pub(crate) edges: Vec<EdgeData>,
-    pub(crate) out_csr: EdgeCsr,
-    pub(crate) in_csr: EdgeCsr,
     pub(crate) by_pred_csr: EdgeCsr,
     pub(crate) value_to_node: ValueLookup,
     // Per-node predicate signatures: bit `pred_bit(p)` is set iff the
@@ -154,15 +148,13 @@ pub struct Ontology {
     pub(crate) columnar: ColumnarIndexes,
 }
 
-/// Builds the three row CSRs plus the per-node signature words in two
+/// Builds the per-predicate CSR plus the per-node signature words in
 /// linear counting passes over the edge table.
 pub(crate) fn index_edges(
     node_count: usize,
     pred_count: usize,
     edges: &[EdgeData],
-) -> (EdgeCsr, EdgeCsr, EdgeCsr, Vec<u64>, Vec<u64>) {
-    let out_csr = group_edges(node_count, edges, |d| d.src.index());
-    let in_csr = group_edges(node_count, edges, |d| d.dst.index());
+) -> (EdgeCsr, Vec<u64>, Vec<u64>) {
     let by_pred_csr = group_edges(pred_count, edges, |d| d.pred.index());
     let mut out_sig = vec![0u64; node_count];
     let mut in_sig = vec![0u64; node_count];
@@ -171,7 +163,7 @@ pub(crate) fn index_edges(
         out_sig[d.src.index()] |= bit;
         in_sig[d.dst.index()] |= bit;
     }
-    (out_csr, in_csr, by_pred_csr, out_sig, in_sig)
+    (by_pred_csr, out_sig, in_sig)
 }
 
 impl Ontology {
@@ -257,7 +249,7 @@ impl Ontology {
                 });
             }
         }
-        let (out_csr, in_csr, by_pred_csr, out_sig, in_sig) = index_edges(n, preds.len(), &edges);
+        let (by_pred_csr, out_sig, in_sig) = index_edges(n, preds.len(), &edges);
         let columnar = columnar.unwrap_or_else(|| ColumnarIndexes::build(n, &edges, &by_pred_csr));
         Ok(Self {
             values,
@@ -265,8 +257,6 @@ impl Ontology {
             types,
             nodes,
             edges,
-            out_csr,
-            in_csr,
             by_pred_csr,
             value_to_node,
             out_sig,
@@ -359,16 +349,20 @@ impl Ontology {
         self.types.get(ty).map(TypeId::new)
     }
 
-    /// Outgoing edges of node `n`.
+    /// Outgoing edges of node `n`, sorted by (pred, edge id): edges of
+    /// one predicate are contiguous and in ascending edge-id order, but
+    /// the whole span is not edge-id ordered. Callers that show or
+    /// sample the adjacency in edge-id order must sort it.
     #[inline]
     pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.out_csr.span(n.index())
+        self.columnar.out_span(n)
     }
 
-    /// Incoming edges of node `n`.
+    /// Incoming edges of node `n`, sorted by (pred, edge id) like
+    /// [`Ontology::out_edges`].
     #[inline]
     pub fn in_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.in_csr.span(n.index())
+        self.columnar.in_span(n)
     }
 
     /// All edges labeled with predicate `p`.
@@ -383,7 +377,7 @@ impl Ontology {
 
     /// Degree (in + out) of node `n`.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.out_csr.span_len(n.index()) + self.in_csr.span_len(n.index())
+        self.out_edges(n).len() + self.in_edges(n).len()
     }
 
     /// Finds the unique edge `src -pred-> dst`, if present.
@@ -398,15 +392,15 @@ impl Ontology {
             .find(|&e| self.edges[e.index()].dst == dst)
     }
 
-    /// Outgoing edges of `n` labeled `pred`, in the same relative order a
-    /// filter scan of [`Ontology::out_edges`] would yield.
+    /// Outgoing edges of `n` labeled `pred`, in ascending edge-id order
+    /// (the `pred` sub-span of [`Ontology::out_edges`]).
     #[inline]
     pub fn out_edges_with_pred(&self, n: NodeId, pred: PredId) -> &[EdgeId] {
         self.columnar.out_with_pred(n, pred)
     }
 
-    /// Incoming edges of `n` labeled `pred`, in the same relative order a
-    /// filter scan of [`Ontology::in_edges`] would yield.
+    /// Incoming edges of `n` labeled `pred`, in ascending edge-id order
+    /// (the `pred` sub-span of [`Ontology::in_edges`]).
     #[inline]
     pub fn in_edges_with_pred(&self, n: NodeId, pred: PredId) -> &[EdgeId] {
         self.columnar.in_with_pred(n, pred)
@@ -423,7 +417,7 @@ impl Ontology {
         &self.columnar
     }
 
-    /// Rebuilds the columnar indexes from the row-oriented tables.
+    /// Rebuilds the columnar indexes from the edge table.
     ///
     /// Used by benchmarks to time a warm index build and by the delta
     /// tests as the from-scratch oracle for the incremental maintenance
@@ -671,8 +665,7 @@ impl OntologyBuilder {
     /// Finalizes the ontology, computing all indexes.
     pub fn build(self) -> Ontology {
         let n = self.nodes.len();
-        let (out_csr, in_csr, by_pred_csr, out_sig, in_sig) =
-            index_edges(n, self.preds.len(), &self.edges);
+        let (by_pred_csr, out_sig, in_sig) = index_edges(n, self.preds.len(), &self.edges);
         let columnar = ColumnarIndexes::build(n, &self.edges, &by_pred_csr);
         // The builder appends values and nodes in lockstep, so identity
         // normally holds; keep the map only for the degenerate case.
@@ -693,8 +686,6 @@ impl OntologyBuilder {
             types: self.types,
             nodes: self.nodes,
             edges: self.edges,
-            out_csr,
-            in_csr,
             by_pred_csr,
             value_to_node,
             out_sig,

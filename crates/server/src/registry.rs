@@ -60,11 +60,13 @@ impl Versioned {
         (*v, Arc::clone(ont))
     }
 
-    fn push(&mut self, version: u64, ont: Arc<Ontology>) {
+    /// Installs a new head and returns the versions it pushed off the
+    /// history, so the caller can drop them (possibly freeing a whole
+    /// graph) after releasing the registry lock.
+    fn push(&mut self, version: u64, ont: Arc<Ontology>) -> Vec<(u64, Arc<Ontology>)> {
         self.chain.push_back((version, ont));
-        while self.chain.len() > HISTORY {
-            self.chain.pop_front();
-        }
+        let excess = self.chain.len().saturating_sub(HISTORY);
+        self.chain.drain(..excess).collect()
     }
 }
 
@@ -196,14 +198,16 @@ impl Registry {
         let (next, summary) = head.apply_delta(delta).map_err(|e| (409, e.to_string()))?;
         let next = Arc::new(next);
         let new_version = head_version + 1;
-        let mut map = lock(&self.inner);
-        match map.get_mut(name) {
+        let evicted = match lock(&self.inner).get_mut(name) {
             Some(Entry::Loaded(v)) => v.push(new_version, Arc::clone(&next)),
             // The name existed moments ago (get_versioned materialized
             // it); it cannot regress to Lazy or vanish — entries are
             // never removed. Unreachable in practice, honest if not.
             _ => return Err((404, format!("no ontology named {name:?}"))),
-        }
+        };
+        // Freeing an unpinned evicted version happens here, with the map
+        // lock released, so readers' `get_versioned` never wait on it.
+        drop(evicted);
         Ok((new_version, next, summary))
     }
 
@@ -458,5 +462,18 @@ mod tests {
             VersionLookup::Unknown
         ));
         assert!(matches!(r.get_version("ghost", 1), VersionLookup::Unknown));
+    }
+
+    #[test]
+    fn evicted_versions_are_freed_once_unpinned() {
+        let r = Registry::with_builtins();
+        let v1 = Arc::downgrade(&r.insert("w", "a p b\n").unwrap());
+        for i in 0..HISTORY {
+            assert!(v1.upgrade().is_some(), "version 1 retained until evicted");
+            r.update("w", &delta(&[("a", "q", &format!("n{i}"))], &[]))
+                .unwrap();
+        }
+        assert!(v1.upgrade().is_none(), "evicted and unpinned: freed");
+        assert_eq!(r.versions_open(), HISTORY);
     }
 }
