@@ -16,6 +16,14 @@
 //!
 //! These tests are how the experiment harness decides that inference has
 //! *reconstructed* a target query (the paper's success criterion).
+//!
+//! **Soundness is load-bearing.** The feedback loop skips evaluating a
+//! difference query `a − b` whenever [`union_contained_in`]`(a, b)`
+//! holds (`questpro-feedback`'s `CandidateForms::witness`). A false
+//! `true` here would silently drop a question the user should have been
+//! asked, so any change to this module must keep the randomized
+//! soundness oracle in `tests/engine_bruteforce.rs` green.
+//! Incompleteness only costs an evaluation.
 
 use questpro_query::{NodeLabel, QueryNodeId, SimpleQuery, UnionQuery};
 
@@ -122,7 +130,7 @@ fn finish_isolated(b: &SimpleQuery, a: &SimpleQuery, map: &mut Vec<u32>, from: u
 
 /// Sound acceptance of `b`'s disequalities under the mapping: images must
 /// be distinct constants, or distinct nodes tied apart by a disequality
-/// of `a`.
+/// of `a` that every match of `a` enforces (both nodes always bound).
 fn diseqs_sound(b: &SimpleQuery, a: &SimpleQuery, map: &[u32]) -> bool {
     b.diseqs().iter().all(|&(x, y)| {
         let ax = QueryNodeId::from_index(map[x.index()] as usize);
@@ -134,10 +142,18 @@ fn diseqs_sound(b: &SimpleQuery, a: &SimpleQuery, map: &[u32]) -> bool {
             (Some(cx), Some(cy)) => cx != cy,
             _ => {
                 let pair = if ax < ay { (ax, ay) } else { (ay, ax) };
-                a.diseqs().contains(&pair)
+                a.diseqs().contains(&pair) && always_bound(a, ax) && always_bound(a, ay)
             }
         }
     })
+}
+
+/// Whether every match of `q` binds `n`: it lies on a required edge or on
+/// no edge at all. A node only on OPTIONAL edges may stay unbound, and a
+/// disequality on it then constrains nothing.
+fn always_bound(q: &SimpleQuery, n: QueryNodeId) -> bool {
+    let touching = || q.edges().iter().filter(move |e| e.src == n || e.dst == n);
+    touching().next().is_none() || touching().any(|e| !e.optional)
 }
 
 #[cfg(test)]
@@ -282,6 +298,32 @@ mod tests {
         assert!(!union_contained_in(&u_gen, &u_spec));
         let u_same = UnionQuery::new(vec![bob, erdos]).unwrap();
         assert!(union_equivalent(&u_spec, &u_same));
+    }
+
+    #[test]
+    fn optional_only_diseq_certifies_nothing() {
+        // a: `?x p ?y`, OPTIONAL `?x q ?w`, `?x != ?w`. Its disequality
+        // binds nothing when the optional edge is skipped.
+        let mut qb = SimpleQuery::builder();
+        let (x, y, w) = (qb.var("x"), qb.var("y"), qb.var("w"));
+        qb.edge(x, "p", y)
+            .optional_edge(x, "q", w)
+            .diseq(x, w)
+            .project(x);
+        let a = qb.build().unwrap();
+        // b: `?x p ?y` plus an edge-free `?z != ?x`: some other node must
+        // exist.
+        let mut qb = SimpleQuery::builder();
+        let (x, y, z) = (qb.var("x"), qb.var("y"), qb.var("z"));
+        qb.edge(x, "p", y).diseq(x, z).project(x);
+        let b = qb.build().unwrap();
+        assert!(!contained_in(&a, &b));
+        // On a one-node world, a has a result and b has none.
+        let mut ob = questpro_graph::Ontology::builder();
+        ob.edge("n", "p", "n").unwrap();
+        let o = ob.build();
+        assert_eq!(crate::evaluate(&o, &a).len(), 1);
+        assert!(crate::evaluate(&o, &b).is_empty());
     }
 
     #[test]

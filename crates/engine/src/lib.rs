@@ -20,7 +20,9 @@
 //!   a sampled result ([`difference()`]);
 //! * **containment and equivalence** of conjunctive queries and their
 //!   unions via the frozen-instance homomorphism test ([`contain`]),
-//!   used to decide when inference has reconstructed the target query.
+//!   used to decide when inference has reconstructed the target query
+//!   and, in the feedback loop, to skip difference queries it proves
+//!   empty.
 
 pub mod consistency;
 pub mod contain;

@@ -9,14 +9,16 @@
 //! bound back into `Q_i^all` to obtain its provenance, and the user's
 //! yes/no removes `Q_j` or `Q_i` respectively. Pairs whose differences
 //! are empty both ways are *indistinguishable on this ontology* and are
-//! merged by keeping the earlier-ranked candidate.
+//! merged by keeping the earlier-ranked candidate. [`CandidateForms`]
+//! decides a difference statically, without evaluating it, when
+//! containment proves it empty on every ontology.
 
 use std::collections::BTreeSet;
 
 use questpro_graph::rng::{IteratorRandom, Rng};
 
-use questpro_core::with_all_diseqs;
-use questpro_engine::{evaluate_union, provenance_of_union};
+use questpro_core::with_all_diseqs_cached;
+use questpro_engine::{evaluate_union, provenance_of_union, union_contained_in, ConsistencyCache};
 use questpro_graph::{ExampleSet, NodeId, Ontology, Subgraph};
 use questpro_query::UnionQuery;
 
@@ -85,38 +87,16 @@ pub fn choose_query<O: Oracle, R: Rng>(
 ) -> FeedbackOutcome {
     assert!(!candidates.is_empty(), "need at least one candidate");
     let _t = questpro_trace::span("feedback.choose_query");
-    // Pre-compute both forms for every candidate.
-    let alls: Vec<UnionQuery> = candidates
-        .iter()
-        .map(|q| with_all_diseqs(ont, q, examples))
-        .collect();
-    let nones: Vec<UnionQuery> = candidates.iter().map(|q| q.without_diseqs()).collect();
-
-    // Result sets are needed repeatedly across pairs; evaluate each
-    // candidate form at most once (the paper's Section V concern about
-    // not re-running full provenance-tracked evaluations, taken one
-    // step further).
-    let mut cache = ResultCache::new(candidates.len());
+    let mut forms = CandidateForms::new(ont, candidates, examples);
 
     // Live candidate indexes, best-ranked first.
     let mut live: Vec<usize> = (0..candidates.len()).collect();
     let mut transcript = Vec::new();
 
     while live.len() > 1 && transcript.len() < cfg.max_questions {
-        let _q = questpro_trace::span("feedback.question");
-        // Take the two best-ranked live candidates and try both
-        // difference directions.
-        let (i, j) = (live[0], live[1]);
-        let witness = cache
-            .witness(ont, &alls, &nones, i, j, rng, cfg.prov_limit)
-            .map(|w| (i, j, w))
-            .or_else(|| {
-                cache
-                    .witness(ont, &alls, &nones, j, i, rng, cfg.prov_limit)
-                    .map(|w| (j, i, w))
-            });
-        match witness {
-            Some((keep, other, (res, prov))) => {
+        // Take the two best-ranked live candidates.
+        match forms.question(ont, live[0], live[1], rng, cfg.prov_limit) {
+            Some((keep, other, res, prov)) => {
                 let answer = oracle.accept(ont, res, &prov);
                 let eliminated = if answer { other } else { keep };
                 transcript.push(QuestionRecord {
@@ -139,54 +119,111 @@ pub fn choose_query<O: Oracle, R: Rng>(
     questpro_trace::add("questions", transcript.len() as u64);
     let chosen_index = live[0];
     FeedbackOutcome {
-        chosen: alls[chosen_index].clone(),
+        chosen: forms.all(chosen_index).clone(),
         chosen_index,
         transcript,
     }
 }
 
-/// Lazily evaluated result sets of the `Q^all` and `Q^no` candidate
-/// forms, so each is evaluated at most once across all questions.
-struct ResultCache {
-    alls: Vec<Option<BTreeSet<NodeId>>>,
-    nones: Vec<Option<BTreeSet<NodeId>>>,
+/// Both difference-query forms of every candidate — `Q^all` and `Q^no`
+/// — with their result sets evaluated lazily, each at most once across
+/// all questions (the paper's Section V concern about not re-running
+/// full evaluations, taken one step further).
+///
+/// Before any evaluation, a pair is decided statically when
+/// `Q_i^all ⊑ Q_j^no` holds by the frozen-instance containment test: the
+/// difference is then empty on every ontology. Top-k unions often carry
+/// a branch that is a constant specialization of another branch, so
+/// most candidate pairs are decided this way. The skip is exact: an
+/// empty difference draws nothing from the RNG, so questions, answers
+/// and the random-draw sequence are the same as with evaluation.
+#[derive(Debug, Clone)]
+pub struct CandidateForms {
+    alls: Vec<UnionQuery>,
+    nones: Vec<UnionQuery>,
+    all_results: Vec<Option<BTreeSet<NodeId>>>,
+    none_results: Vec<Option<BTreeSet<NodeId>>>,
+    static_empty: usize,
 }
 
-impl ResultCache {
-    fn new(n: usize) -> Self {
+impl CandidateForms {
+    /// Builds `Q^all` (all admissible disequalities, inferred from
+    /// `examples`) and `Q^no` (none) for every candidate. One
+    /// consistency cache serves all candidates, since they share
+    /// branches and so their onto matches recur.
+    pub fn new(ont: &Ontology, candidates: &[UnionQuery], examples: &ExampleSet) -> Self {
+        let mut cache = ConsistencyCache::new();
+        let alls: Vec<UnionQuery> = candidates
+            .iter()
+            .map(|q| with_all_diseqs_cached(ont, q, examples, &mut cache))
+            .collect();
+        let nones = candidates.iter().map(UnionQuery::without_diseqs).collect();
+        let n = candidates.len();
         Self {
-            alls: vec![None; n],
-            nones: vec![None; n],
+            alls,
+            nones,
+            all_results: vec![None; n],
+            none_results: vec![None; n],
+            static_empty: 0,
         }
     }
 
-    /// Samples a witness of `alls[i] − nones[j]`, with its provenance
-    /// w.r.t. `alls[i]`.
-    #[allow(clippy::too_many_arguments)]
-    fn witness<R: Rng>(
+    /// Candidate `i` with all its admissible disequalities.
+    pub fn all(&self, i: usize) -> &UnionQuery {
+        &self.alls[i]
+    }
+
+    /// How many [`CandidateForms::witness`] calls containment decided
+    /// without evaluating either side.
+    pub fn static_empty(&self) -> usize {
+        self.static_empty
+    }
+
+    /// Samples a witness of `Q_i^all − Q_j^no` with one provenance graph
+    /// w.r.t. `Q_i^all` (sampled among the first `prov_limit` images);
+    /// `None` when the difference is empty.
+    pub fn witness<R: Rng>(
         &mut self,
         ont: &Ontology,
-        alls: &[UnionQuery],
-        nones: &[UnionQuery],
         i: usize,
         j: usize,
         rng: &mut R,
         prov_limit: usize,
     ) -> Option<(NodeId, Subgraph)> {
-        if self.alls[i].is_none() {
-            self.alls[i] = Some(evaluate_union(ont, &alls[i]));
+        if union_contained_in(&self.alls[i], &self.nones[j]) {
+            self.static_empty += 1;
+            questpro_trace::add("static_empty", 1);
+            return None;
         }
-        if self.nones[j].is_none() {
-            self.nones[j] = Some(evaluate_union(ont, &nones[j]));
-        }
-        let ra = self.alls[i].as_ref().expect("just filled");
-        let rb = self.nones[j].as_ref().expect("just filled");
+        let ra = self.all_results[i].get_or_insert_with(|| evaluate_union(ont, &self.alls[i]));
+        let rb = self.none_results[j].get_or_insert_with(|| evaluate_union(ont, &self.nones[j]));
         let res = ra.difference(rb).copied().choose(rng)?;
-        let img = provenance_of_union(ont, &alls[i], res, Some(prov_limit.max(1)))
+        let img = provenance_of_union(ont, &self.alls[i], res, Some(prov_limit.max(1)))
             .into_iter()
             .choose(rng)
             .expect("a result of Q^all has provenance w.r.t. Q^all");
         Some((res, img))
+    }
+
+    /// One Algorithm 3 question for the live pair `(i, j)`: a witness of
+    /// `Q_i^all − Q_j^no`, else of `Q_j^all − Q_i^no`. Returns
+    /// `(keep, other, result, provenance)` — *yes* eliminates `other`,
+    /// *no* eliminates `keep` — or `None` when the pair is
+    /// indistinguishable on this ontology.
+    pub fn question<R: Rng>(
+        &mut self,
+        ont: &Ontology,
+        i: usize,
+        j: usize,
+        rng: &mut R,
+        prov_limit: usize,
+    ) -> Option<(usize, usize, NodeId, Subgraph)> {
+        let _q = questpro_trace::span("feedback.question");
+        if let Some((res, prov)) = self.witness(ont, i, j, rng, prov_limit) {
+            return Some((i, j, res, prov));
+        }
+        let (res, prov) = self.witness(ont, j, i, rng, prov_limit)?;
+        Some((j, i, res, prov))
     }
 }
 

@@ -13,7 +13,9 @@
 //!   `Q_i^all − Q_j^no` between a candidate with **all** disequalities
 //!   and one with **none** (so an answer disqualifies every disequality
 //!   form of the loser at once), show a sampled result *with its
-//!   provenance*, and eliminate candidates until one remains.
+//!   provenance*, and eliminate candidates until one remains. A
+//!   difference that containment proves empty is never evaluated
+//!   ([`algorithm3::CandidateForms`]).
 //! * [`refine`] — the disequality refinement loop run on the surviving
 //!   query pattern: drop disequalities the user does not actually want.
 //! * [`session`] — the end-to-end pipeline: explanations → top-k →
@@ -28,7 +30,9 @@ pub mod refine;
 pub mod session;
 pub mod study;
 
-pub use algorithm3::{choose_query, FeedbackConfig, FeedbackOutcome, QuestionRecord};
+pub use algorithm3::{
+    choose_query, CandidateForms, FeedbackConfig, FeedbackOutcome, QuestionRecord,
+};
 pub use oracle::{NoisyOracle, Oracle, ScriptedOracle, TargetOracle};
 pub use refine::refine_diseqs;
 pub use session::{

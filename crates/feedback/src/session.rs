@@ -10,15 +10,14 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use questpro_graph::rng::{IteratorRandom, Rng, StdRng};
+use questpro_graph::rng::{Rng, StdRng};
 
-use questpro_core::{infer_top_k, infer_top_k_robust, with_all_diseqs, InferenceStats, TopKConfig};
-use questpro_engine::{evaluate_union, provenance_of_union};
+use questpro_core::{infer_top_k, infer_top_k_robust, InferenceStats, TopKConfig};
 use questpro_graph::{exformat, ExampleSet, NodeId, Ontology, Subgraph};
 use questpro_query::{sparql, QueryNodeId, UnionQuery};
 use questpro_wire::Json;
 
-use crate::algorithm3::{choose_query, FeedbackConfig, QuestionRecord};
+use crate::algorithm3::{choose_query, CandidateForms, FeedbackConfig, QuestionRecord};
 use crate::oracle::Oracle;
 use crate::refine::{drop_diseq, refine_diseqs};
 
@@ -229,10 +228,10 @@ pub struct InteractiveSession {
     examples: ExampleSet,
     suspect: Vec<usize>,
     candidates: Vec<UnionQuery>,
-    alls: Vec<UnionQuery>,
-    nones: Vec<UnionQuery>,
-    all_results: Vec<Option<BTreeSet<NodeId>>>,
-    none_results: Vec<Option<BTreeSet<NodeId>>>,
+    /// The candidates' `Q^all`/`Q^no` forms and their lazy result sets.
+    /// Rebuilt by `restore`, so its `static_empty` count (log-only)
+    /// restarts there and snapshots stay unchanged.
+    forms: CandidateForms,
     live: Vec<usize>,
     transcript: Vec<QuestionRecord>,
     stats: InferenceStats,
@@ -286,23 +285,15 @@ impl InteractiveSession {
             .filter(|(i, _)| !suspect.contains(i))
             .map(|(_, e)| e.clone())
             .collect();
-        let n = candidates.len();
-        let alls: Vec<UnionQuery> = candidates
-            .iter()
-            .map(|q| with_all_diseqs(ont, q, &kept))
-            .collect();
-        let nones: Vec<UnionQuery> = candidates.iter().map(|q| q.without_diseqs()).collect();
+        let forms = CandidateForms::new(ont, &candidates, &kept);
         let mut s = Self {
             cfg: *cfg,
             seed,
             examples: kept,
             suspect,
+            live: (0..candidates.len()).collect(),
             candidates,
-            alls,
-            nones,
-            all_results: vec![None; n],
-            none_results: vec![None; n],
-            live: (0..n).collect(),
+            forms,
             transcript: Vec::new(),
             stats,
             rng: StdRng::seed_from_u64(seed),
@@ -330,6 +321,7 @@ impl InteractiveSession {
                     ("candidates", s.candidates.len().into()),
                     ("examples", s.examples.len().into()),
                     ("suspect_examples", s.suspect.len().into()),
+                    ("static_empty", s.forms.static_empty().into()),
                     ("seed", seed.into()),
                 ],
             );
@@ -417,13 +409,14 @@ impl InteractiveSession {
                     if self.live.len() > 1
                         && self.transcript.len() < self.cfg.feedback.max_questions
                     {
-                        let (i, j) = (self.live[0], self.live[1]);
-                        let witness = self
-                            .witness(ont, i, j)
-                            .map(|w| (i, j, w))
-                            .or_else(|| self.witness(ont, j, i).map(|w| (j, i, w)));
-                        match witness {
-                            Some((keep, other, (result, provenance))) => {
+                        match self.forms.question(
+                            ont,
+                            self.live[0],
+                            self.live[1],
+                            &mut self.rng,
+                            self.cfg.feedback.prov_limit,
+                        ) {
+                            Some((keep, other, result, provenance)) => {
                                 self.pending = Some(PendingQuestion::Select {
                                     result,
                                     provenance,
@@ -440,7 +433,7 @@ impl InteractiveSession {
                     } else {
                         let chosen = self.live[0];
                         self.chosen_index = Some(chosen);
-                        let q = self.alls[chosen].clone();
+                        let q = self.forms.all(chosen).clone();
                         if self.cfg.refine {
                             self.current = Some(q);
                             self.phase = Phase::Refining;
@@ -501,30 +494,6 @@ impl InteractiveSession {
                 Phase::Done => return,
             }
         }
-    }
-
-    /// Samples a witness of `alls[i] − nones[j]` with its provenance,
-    /// caching the result sets like `choose_query` does.
-    fn witness(&mut self, ont: &Ontology, i: usize, j: usize) -> Option<(NodeId, Subgraph)> {
-        if self.all_results[i].is_none() {
-            self.all_results[i] = Some(evaluate_union(ont, &self.alls[i]));
-        }
-        if self.none_results[j].is_none() {
-            self.none_results[j] = Some(evaluate_union(ont, &self.nones[j]));
-        }
-        let ra = self.all_results[i].as_ref().expect("just filled");
-        let rb = self.none_results[j].as_ref().expect("just filled");
-        let res = ra.difference(rb).copied().choose(&mut self.rng)?;
-        let img = provenance_of_union(
-            ont,
-            &self.alls[i],
-            res,
-            Some(self.cfg.feedback.prov_limit.max(1)),
-        )
-        .into_iter()
-        .choose(&mut self.rng)
-        .expect("a result of Q^all has provenance w.r.t. Q^all");
-        Some((res, img))
     }
 
     /// The current phase.
@@ -602,6 +571,7 @@ impl InteractiveSession {
                 ("yes", yes.into()),
                 ("no", (self.rounds_log.len() - yes).into()),
                 ("candidates", self.candidates.len().into()),
+                ("static_empty", self.forms.static_empty().into()),
                 ("wall_us", (self.wall_ns / 1_000).into()),
             ],
         );
@@ -1100,22 +1070,14 @@ impl InteractiveSession {
             consistency_cache_hits: stat("consistency_cache_hits"),
             ..Default::default()
         };
-        let n = candidates.len();
-        let alls: Vec<UnionQuery> = candidates
-            .iter()
-            .map(|q| with_all_diseqs(ont, q, &examples))
-            .collect();
-        let nones: Vec<UnionQuery> = candidates.iter().map(|q| q.without_diseqs()).collect();
+        let forms = CandidateForms::new(ont, &candidates, &examples);
         Ok(Self {
             cfg,
             seed,
             examples,
             suspect,
             candidates,
-            alls,
-            nones,
-            all_results: vec![None; n],
-            none_results: vec![None; n],
+            forms,
             live,
             transcript,
             stats,

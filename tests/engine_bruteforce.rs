@@ -8,19 +8,25 @@ use std::collections::BTreeSet;
 
 use questpro::prelude::*;
 use questpro::query::QueryNodeId;
-use questpro::rng::{Rng, StdRng};
+use questpro::rng::{Rng, SliceRandom, StdRng};
 
 const CASES: usize = 192;
 
 fn arb_edges<R: Rng>(rng: &mut R) -> Vec<(u8, u8, u8)> {
-    let want = rng.random_range(1..14usize);
+    arb_edges_on(rng, 6)
+}
+
+/// Random distinct edges over the nodes `n0..n{nodes - 1}`, at most 13.
+fn arb_edges_on<R: Rng>(rng: &mut R, nodes: u32) -> Vec<(u8, u8, u8)> {
+    let most = (2 * nodes * nodes).min(13) as usize;
+    let want = rng.random_range(1..most + 1);
     let mut set = BTreeSet::new();
     // Rejection-sample distinct triples, mirroring a btree_set strategy.
     while set.len() < want {
         set.insert((
-            rng.random_range(0..6u32) as u8,
+            rng.random_range(0..nodes) as u8,
             rng.random_range(0..2u32) as u8,
-            rng.random_range(0..6u32) as u8,
+            rng.random_range(0..nodes) as u8,
         ));
     }
     set.into_iter().collect()
@@ -39,8 +45,8 @@ fn build_ontology(edges: &[(u8, u8, u8)]) -> Ontology {
 /// A small query over node slots: variables `x0..` first, then up to
 /// two constants (values `n{c}`); edge endpoints index the slots modulo
 /// their count. Optional edges join endpoints of required edges only,
-/// so every node is either required or isolated and the brute-force
-/// reference can ignore them.
+/// so every node is required or isolated; optional-only variables come
+/// from [`with_optional_leaf`].
 #[derive(Debug, Clone)]
 struct QuerySpec {
     nodes: usize,
@@ -176,20 +182,32 @@ fn build_query(spec: &QuerySpec) -> Option<SimpleQuery> {
     built.ok()
 }
 
-/// Reference semantics: try every total node assignment against the
-/// required edges.
+/// Reference semantics: try every total assignment of the bound nodes
+/// (those on a required edge or on no edge) against the required edges.
+/// A node only on OPTIONAL edges may stay unbound, so it is not
+/// enumerated and a disequality touching it filters nothing: an optional
+/// edge never filters results. Generators make such nodes variables
+/// only; the matcher pre-binds constants, so an optional-only constant
+/// is outside this reference.
 fn brute_force(
     ont: &Ontology,
     q: &SimpleQuery,
 ) -> (std::collections::BTreeSet<questpro::graph::NodeId>, u64) {
     let nodes: Vec<_> = ont.node_ids().collect();
     let k = q.node_count();
+    let bound: Vec<bool> = q
+        .node_ids()
+        .map(|n| {
+            let mut touching = q.edges().iter().filter(|e| e.src == n || e.dst == n);
+            touching.clone().next().is_none() || touching.any(|e| !e.optional)
+        })
+        .collect();
     let mut results = std::collections::BTreeSet::new();
     let mut count = 0u64;
     let mut assign = vec![0usize; k];
     'outer: loop {
         // Check the assignment.
-        let ok = (0..k).all(|i| {
+        let ok = (0..k).filter(|&i| bound[i]).all(|i| {
             let qi = QueryNodeId::from_index(i);
             match q.label(qi).as_const() {
                 Some(c) => ont.value_str(nodes[assign[i]]) == c,
@@ -201,16 +219,16 @@ fn brute_force(
             ont.pred_by_name(&e.pred)
                 .and_then(|p| ont.find_edge(s, p, d))
                 .is_some()
-        }) && q
-            .diseqs()
-            .iter()
-            .all(|&(a, bnode)| nodes[assign[a.index()]] != nodes[assign[bnode.index()]]);
+        }) && q.diseqs().iter().all(|&(a, bnode)| {
+            let (a, bnode) = (a.index(), bnode.index());
+            !(bound[a] && bound[bnode]) || nodes[assign[a]] != nodes[assign[bnode]]
+        });
         if ok {
             count += 1;
             results.insert(nodes[assign[q.projected().index()]]);
         }
-        // Next assignment (odometer).
-        for slot in (0..k).rev() {
+        // Next assignment (odometer over the bound nodes).
+        for slot in (0..k).rev().filter(|&i| bound[i]) {
             assign[slot] += 1;
             if assign[slot] < nodes.len() {
                 continue 'outer;
@@ -226,7 +244,8 @@ fn brute_force(
 /// result sets and on the number of homomorphisms of the required
 /// pattern — and the sharded parallel evaluator agrees with both. Half
 /// the cases are constant-anchored chains, so the candidate-domain pass
-/// is checked on constants several hops from the projected node.
+/// is checked on constants several hops from the projected node, and a
+/// third carry an optional leaf whose disequality must filter nothing.
 #[test]
 fn matcher_matches_bruteforce() {
     let mut rng = StdRng::seed_from_u64(0xb1);
@@ -238,9 +257,12 @@ fn matcher_matches_bruteforce() {
             arb_chain_spec(&mut rng)
         };
         let o = build_ontology(&edges);
-        let Some(q) = build_query(&spec) else {
+        let Some(mut q) = build_query(&spec) else {
             continue;
         };
+        if case % 3 == 2 {
+            q = with_optional_leaf(&mut rng, &q).unwrap_or(q);
+        }
         let (expected_results, expected_count) = brute_force(&o, &q);
         let got_results = evaluate(&o, &q);
         assert_eq!(
@@ -259,4 +281,310 @@ fn matcher_matches_bruteforce() {
             );
         }
     }
+}
+
+/// Brute-force result set of a union: the union of its branches'.
+fn brute_union(ont: &Ontology, u: &UnionQuery) -> BTreeSet<questpro::graph::NodeId> {
+    u.branches()
+        .iter()
+        .flat_map(|q| brute_force(ont, q).0)
+        .collect()
+}
+
+/// A random generalization of `q`: each constant may become a fresh
+/// variable, each required edge may be dropped, and each disequality may
+/// be dropped. An OPTIONAL edge is kept between endpoints that stay on
+/// required edges; one whose other endpoint is a variable left on no
+/// required edge is kept half the time, so that variable is either
+/// optional-only or isolated. The result usually contains `q`, but the
+/// containment test decides.
+fn generalize<R: Rng>(rng: &mut R, q: &SimpleQuery) -> Option<SimpleQuery> {
+    let mut b = QueryBuilder::new();
+    let mut is_const = vec![false; q.node_count()];
+    let ids: Vec<QueryNodeId> = q
+        .node_ids()
+        .map(|n| match q.label(n).as_const() {
+            Some(c) if rng.random_bool(0.6) => {
+                is_const[n.index()] = true;
+                b.constant(c)
+            }
+            _ => b.var(&format!("g{}", n.index())),
+        })
+        .collect();
+    let mut on_required = vec![false; q.node_count()];
+    for e in q.edges().iter().filter(|e| !e.optional) {
+        if rng.random_bool(0.7) {
+            b.edge(ids[e.src.index()], &e.pred, ids[e.dst.index()]);
+            on_required[e.src.index()] = true;
+            on_required[e.dst.index()] = true;
+        }
+    }
+    for e in q.edges().iter().filter(|e| e.optional) {
+        let (s, d) = (e.src.index(), e.dst.index());
+        let keep = match (on_required[s], on_required[d]) {
+            (true, true) => true,
+            (true, false) => !is_const[d] && rng.random_bool(0.5),
+            (false, true) => !is_const[s] && rng.random_bool(0.5),
+            (false, false) => false,
+        };
+        if keep {
+            b.optional_edge(ids[s], &e.pred, ids[d]);
+        }
+    }
+    for &(x, y) in q.diseqs() {
+        if rng.random_bool(0.5) {
+            b.diseq(ids[x.index()], ids[y.index()]);
+        }
+    }
+    b.project(ids[q.projected().index()]);
+    b.build().ok()
+}
+
+/// `q` with one more disequality between two random nodes, at least one
+/// a variable: the shape of a refinement step, where the current query
+/// carries a disequality the candidate lacks.
+fn with_extra_diseq<R: Rng>(rng: &mut R, q: &SimpleQuery) -> Option<SimpleQuery> {
+    let n = q.node_count() as u32;
+    let x = QueryNodeId::from_index(rng.random_range(0..n) as usize);
+    let y = QueryNodeId::from_index(rng.random_range(0..n) as usize);
+    if x == y {
+        return None;
+    }
+    q.with_diseqs(q.diseqs().iter().copied().chain([(x, y)]))
+        .ok()
+}
+
+/// `q` plus a twin of one endpoint of a random required edge: a fresh
+/// variable on a copy of that edge, kept apart from the original
+/// endpoint by a disequality. Without the disequality the twin folds
+/// back onto the original, so only the disequality separates the two
+/// queries.
+fn with_twin<R: Rng>(rng: &mut R, q: &SimpleQuery) -> Option<SimpleQuery> {
+    let required: Vec<_> = q.edges().iter().filter(|e| !e.optional).collect();
+    if required.is_empty() {
+        return None;
+    }
+    let (mut b, ids) = copy_of(q);
+    let e = required[rng.random_range(0..required.len() as u32) as usize];
+    let twin = b.var("twin");
+    let (s, d) = (ids[e.src.index()], ids[e.dst.index()]);
+    if rng.random_bool(0.5) {
+        b.edge(s, &e.pred, twin).diseq(d, twin);
+    } else {
+        b.edge(twin, &e.pred, d).diseq(s, twin);
+    }
+    b.project(ids[q.projected().index()]);
+    b.build().ok()
+}
+
+/// A builder holding a copy of `q`'s nodes, edges and disequalities
+/// (not its projection), with the new id of each node of `q`.
+fn copy_of(q: &SimpleQuery) -> (QueryBuilder, Vec<QueryNodeId>) {
+    let mut b = QueryBuilder::new();
+    let ids: Vec<QueryNodeId> = q
+        .node_ids()
+        .map(|n| match q.label(n).as_const() {
+            Some(c) => b.constant(c),
+            None => b.var(&format!("x{}", n.index())),
+        })
+        .collect();
+    for e in q.edges() {
+        let (s, d) = (ids[e.src.index()], ids[e.dst.index()]);
+        if e.optional {
+            b.optional_edge(s, &e.pred, d);
+        } else {
+            b.edge(s, &e.pred, d);
+        }
+    }
+    for &(x, y) in q.diseqs() {
+        b.diseq(ids[x.index()], ids[y.index()]);
+    }
+    (b, ids)
+}
+
+/// `q` plus a fresh variable reached only by an OPTIONAL edge from an
+/// endpoint of a random required edge, kept apart from a random node of
+/// `q` by a disequality. The variable may stay unbound, so that
+/// disequality filters nothing: the shape `allow_optional` inference
+/// produces.
+fn with_optional_leaf<R: Rng>(rng: &mut R, q: &SimpleQuery) -> Option<SimpleQuery> {
+    let ends: Vec<QueryNodeId> = q
+        .edges()
+        .iter()
+        .filter(|e| !e.optional)
+        .flat_map(|e| [e.src, e.dst])
+        .collect();
+    let &at = ends.choose(rng)?;
+    let (mut b, ids) = copy_of(q);
+    let leaf = b.var("leaf");
+    let pred = if rng.random_bool(0.5) { "p" } else { "q" };
+    if rng.random_bool(0.5) {
+        b.optional_edge(ids[at.index()], pred, leaf);
+    } else {
+        b.optional_edge(leaf, pred, ids[at.index()]);
+    }
+    let other = rng.random_range(0..q.node_count() as u32) as usize;
+    b.diseq(leaf, ids[other]);
+    b.project(ids[q.projected().index()]);
+    b.build().ok()
+}
+
+/// A random buildable query from either spec generator, a third of the
+/// time with an optional leaf ([`with_optional_leaf`]). Specs with a
+/// disequality between two constants are drawn again: the builder
+/// rejects those.
+fn arb_query<R: Rng>(rng: &mut R) -> SimpleQuery {
+    loop {
+        let spec = if rng.random_bool(0.5) {
+            arb_query_spec(rng)
+        } else {
+            arb_chain_spec(rng)
+        };
+        let total = spec.nodes + spec.constants.len();
+        let is_const = |slot: u8| slot as usize % total >= spec.nodes;
+        if spec.diseq.is_some_and(|(x, y)| is_const(x) && is_const(y)) {
+            continue;
+        }
+        if let Some(q) = build_query(&spec) {
+            if rng.random_bool(1.0 / 3.0) {
+                return with_optional_leaf(rng, &q).unwrap_or(q);
+            }
+            return q;
+        }
+    }
+}
+
+/// A pair of unions `(a, b)` where `b` mostly generalizes branches of
+/// `a` or separates them with one more disequality, sometimes plus an
+/// unrelated branch, so containment holds often but not always.
+fn arb_union_pair<R: Rng>(rng: &mut R) -> (UnionQuery, UnionQuery) {
+    let a: Vec<SimpleQuery> = (0..rng.random_range(1..3usize))
+        .map(|_| arb_query(rng))
+        .collect();
+    let mut b: Vec<SimpleQuery> = a
+        .iter()
+        .filter_map(|q| match rng.random_range(0..10u32) {
+            0..=5 => generalize(rng, q),
+            6 | 7 => with_extra_diseq(rng, q),
+            _ => with_twin(rng, q),
+        })
+        .collect();
+    if b.is_empty() || rng.random_bool(0.3) {
+        b.push(arb_query(rng));
+    }
+    (
+        UnionQuery::new(a).expect("non-empty"),
+        UnionQuery::new(b).expect("non-empty"),
+    )
+}
+
+/// Whether some branch of `u` has a disequality on a node that lies
+/// only on OPTIONAL edges.
+fn has_optional_only_diseq(u: &UnionQuery) -> bool {
+    u.branches().iter().any(|q| {
+        q.diseqs().iter().any(|&(x, y)| {
+            [x, y].into_iter().any(|n| {
+                let mut touching = q.edges().iter().filter(|e| e.src == n || e.dst == n);
+                touching.clone().next().is_some() && touching.all(|e| e.optional)
+            })
+        })
+    })
+}
+
+/// Soundness of the containment test the feedback loop uses to skip
+/// difference queries: whenever `union_contained_in(a, b)` holds, every
+/// brute-force result of `a` is one of `b`, on every random ontology.
+/// One world in four has one or two nodes: there an isolated variable
+/// kept apart from a bound node may find no value, which is what refutes
+/// certifying a disequality through one on an optional-only node.
+#[test]
+fn union_containment_is_sound() {
+    let mut rng = StdRng::seed_from_u64(0xc0);
+    let (mut held, mut nonvacuous, mut optional_only) = (0usize, 0usize, 0usize);
+    for _ in 0..CASES {
+        let (a, b) = arb_union_pair(&mut rng);
+        for (a, b) in [(&a, &b), (&b, &a)] {
+            if !questpro::engine::union_contained_in(a, b) {
+                continue;
+            }
+            held += 1;
+            optional_only += usize::from(has_optional_only_diseq(a));
+            for world in 0..4 {
+                let edges = if world == 0 {
+                    let nodes = rng.random_range(1..3u32);
+                    arb_edges_on(&mut rng, nodes)
+                } else {
+                    arb_edges(&mut rng)
+                };
+                let o = build_ontology(&edges);
+                let ra = brute_union(&o, a);
+                let rb = brute_union(&o, b);
+                assert!(ra.is_subset(&rb), "{a} ⊑ {b} claimed, refuted on {edges:?}");
+                nonvacuous += usize::from(!ra.is_empty());
+            }
+        }
+    }
+    // The oracle must actually exercise the guard.
+    assert!(held >= CASES / 4, "containment held in only {held} cases");
+    assert!(
+        nonvacuous >= CASES / 8,
+        "only {nonvacuous} non-empty checks"
+    );
+    assert!(
+        optional_only >= CASES / 16,
+        "only {optional_only} contained sides with an optional-only disequality"
+    );
+}
+
+/// Witness sampling, with and without the static guard: a sampled
+/// witness lies in the brute-force difference, and it is `None` exactly
+/// when that difference is empty — for the engine's
+/// `difference_with_witness` and for the feedback loop's
+/// `CandidateForms::witness` (`Q^all − Q^no`).
+#[test]
+fn witness_is_in_the_difference_and_none_iff_empty() {
+    let mut rng = StdRng::seed_from_u64(0xd1);
+    let (mut some, mut none) = (0usize, 0usize);
+    for case in 0..CASES {
+        // `b` mostly generalizes `a`, so test both directions.
+        let (a, b) = match arb_union_pair(&mut rng) {
+            (a, b) if case % 2 == 0 => (a, b),
+            (a, b) => (b, a),
+        };
+        let edges = arb_edges(&mut rng);
+        let o = build_ontology(&edges);
+        let expected: BTreeSet<_> = brute_union(&o, &a)
+            .difference(&brute_union(&o, &b))
+            .copied()
+            .collect();
+        match questpro::engine::difference_with_witness(&o, &a, &b, &mut rng, 8) {
+            None => {
+                assert!(expected.is_empty(), "missed witness of {a} − {b}");
+                none += 1;
+            }
+            Some((res, img)) => {
+                assert!(expected.contains(&res), "{res:?} is not in {a} − {b}");
+                assert!(provenance_of_union(&o, &a, res, None).contains(&img));
+                some += 1;
+            }
+        }
+
+        let candidates = [a, b];
+        let mut forms =
+            questpro::feedback::CandidateForms::new(&o, &candidates, &ExampleSet::new());
+        for (i, j) in [(0, 1), (1, 0)] {
+            let expected: BTreeSet<_> = brute_union(&o, forms.all(i))
+                .difference(&brute_union(&o, &candidates[j].without_diseqs()))
+                .copied()
+                .collect();
+            match forms.witness(&o, i, j, &mut rng, 8) {
+                None => assert!(expected.is_empty(), "missed witness for ({i}, {j})"),
+                Some((res, _)) => assert!(expected.contains(&res)),
+            }
+        }
+    }
+    assert!(
+        some > 0 && none > 0,
+        "both outcomes must occur: {some} / {none}"
+    );
 }
