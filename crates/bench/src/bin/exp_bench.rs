@@ -43,15 +43,6 @@
 //!   run the full text-to-store path, printing
 //!   `"<milliseconds> <rows>"`. Each B7 measurement re-execs this
 //!   binary in one of these modes so it pays true cold-start costs.
-//! * `--bench9 PATH` — write the B9 report and exit: the
-//!   `serve --store` cold-start *assembly* step before/after the
-//!   sorted-arena interner handover. "Before" replicates the legacy
-//!   materialization in this binary (re-hashing every dictionary label
-//!   through `Interner::from_unique_labels`); "after" is the shipping
-//!   `TripleStore::to_ontology`. The report gates on the arena handover
-//!   beating the legacy re-hash (this is what `scripts/bench.sh` uses
-//!   to produce `BENCH_9.json`; `--tiny` drops the scale to 10⁵
-//!   triples and relaxes the factor).
 //! * `--telemetry-overhead` — drive one real interactive session per
 //!   heavy query with telemetry disabled, measure the cost of building
 //!   and offering its `SessionRecord` on the disabled path, and assert
@@ -152,10 +143,6 @@ fn main() {
     }
     if let Some(path) = cli_value("--bench7") {
         bench7_section(&path, tiny);
-        return;
-    }
-    if let Some(path) = cli_value("--bench9") {
-        bench9_section(&path, tiny);
         return;
     }
     if let Some(path) = cli_value("--bench10") {
@@ -927,156 +914,6 @@ fn bench7_section(path: &str, tiny: bool) {
     );
     out.push_str("}\n");
     std::fs::write(path, out).expect("write bench7 json report");
-    eprintln!("wrote {path}");
-}
-
-/// The B9 report: snapshot cold-start *assembly* before/after the
-/// sorted-arena interner handover.
-///
-/// `serve --store` pays `decode` (measured by B7) plus
-/// `TripleStore::to_ontology`. The legacy assembly re-materialized the
-/// interned graph: every node/predicate/type label was re-hashed and
-/// re-boxed through `Interner::from_unique_labels`, ~0.3 s at 10⁶
-/// triples (ROADMAP item 1). The fix hands the store's already-sorted
-/// dictionary arenas to `Interner::from_sorted_labels` in one copy.
-/// Both interner paths are measured side by side (best-of-6,
-/// interleaved so machine drift lands on both), the full shipping
-/// `to_ontology` is timed, and the legacy end-to-end assembly is
-/// estimated as `after - arena + legacy` — the edge-table half of the
-/// assembly is byte-identical code on both paths, so the interner delta
-/// is the whole difference. Correctness rides along: the assembled
-/// ontology must answer the world's anchor query with results.
-fn bench9_section(path: &str, tiny: bool) {
-    use questpro_data::scale::{
-        anchor_entity, anchor_pred, scale_stream, ScaleConfig, ScaleItem, ScaleWorld,
-    };
-    use questpro_graph::Interner;
-    use questpro_query::{QueryBuilder, UnionQuery};
-    use questpro_store::StoreBuilder;
-
-    let world = ScaleWorld::Sp2b;
-    let scale: u64 = if tiny { 100_000 } else { 1_000_000 };
-    let seed = 7u64;
-    let cfg = ScaleConfig {
-        world,
-        triples: scale,
-        seed,
-    };
-
-    let mut b = StoreBuilder::new();
-    for item in scale_stream(&cfg) {
-        match item {
-            ScaleItem::Triple { s, p, o } => b.add_triple(&s, &p, &o),
-            ScaleItem::Type { node, ty } => {
-                b.add_type(&node, &ty)
-                    .expect("scale worlds type consistently");
-            }
-        }
-    }
-    let store = b.build().expect("scale world fits the u32 id space");
-    let triples = store.triple_count();
-    let labels = store.nodes().len() + store.preds().len() + store.types().len();
-
-    // The two interner paths over the same three dictionaries,
-    // interleaved best-of-6.
-    let mut legacy_walls = Vec::new();
-    let mut arena_walls = Vec::new();
-    for _ in 0..6 {
-        let t0 = Instant::now();
-        for dict in [store.nodes(), store.preds(), store.types()] {
-            let i = Interner::from_unique_labels(dict.iter().map(Box::from))
-                .expect("store dictionaries are unique");
-            assert_eq!(std::hint::black_box(i).len(), dict.len());
-        }
-        legacy_walls.push(t0.elapsed().as_secs_f64() * 1e3);
-        let t0 = Instant::now();
-        for dict in [store.nodes(), store.preds(), store.types()] {
-            let i = Interner::from_sorted_labels(dict.iter(), dict.arena_bytes())
-                .expect("store dictionaries are sorted");
-            assert_eq!(std::hint::black_box(i).len(), dict.len());
-        }
-        arena_walls.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let best = |walls: &[f64]| walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let legacy_ms = best(&legacy_walls);
-    let arena_ms = best(&arena_walls);
-
-    // The full shipping assembly, and the legacy end-to-end estimate.
-    let mut assemble_walls = Vec::new();
-    let mut ont = None;
-    for _ in 0..6 {
-        let t0 = Instant::now();
-        let o = store.to_ontology().expect("validated store assembles");
-        assemble_walls.push(t0.elapsed().as_secs_f64() * 1e3);
-        ont = Some(o);
-    }
-    let after_ms = best(&assemble_walls);
-    let before_ms = after_ms - arena_ms + legacy_ms;
-    let intern_factor = legacy_ms / arena_ms.max(1e-6);
-    let assemble_factor = before_ms / after_ms.max(1e-6);
-    println!(
-        "B9 cold-start assembly at {triples} triples ({labels} labels): \
-         legacy re-hash {legacy_ms:.1} ms vs arena handover {arena_ms:.1} ms \
-         ({intern_factor:.1}x); to_ontology {after_ms:.1} ms now, \
-         ~{before_ms:.1} ms before ({assemble_factor:.1}x)"
-    );
-    // The factor gate is defined at the full 10^6-triple scale; the tiny
-    // CI scale only sanity-checks the direction.
-    let min_factor = if tiny { 1.5 } else { 3.0 };
-    assert!(
-        intern_factor >= min_factor,
-        "the arena handover ({arena_ms:.1} ms) must be >= {min_factor}x faster than \
-         the legacy label re-hash ({legacy_ms:.1} ms), got {intern_factor:.1}x"
-    );
-
-    // Correctness: the assembled world answers its anchor query.
-    let ont = ont.expect("at least one assembly round ran");
-    let query = {
-        let mut qb = QueryBuilder::new();
-        let x = qb.var("x");
-        let p = qb.var("p");
-        let a = qb.constant(anchor_entity(world));
-        qb.edge(p, anchor_pred(world), x)
-            .edge(p, anchor_pred(world), a)
-            .project(x);
-        UnionQuery::single(qb.build().expect("anchor query is well-formed"))
-    };
-    let results = questpro_engine::evaluate_union_with(&ont, &query, 1).len();
-    assert!(results > 0, "the anchor hub must have co-members");
-
-    let mut out = String::from(
-        "{\n  \"bench\": \"B9 cold-start assembly: legacy label re-hash vs sorted-arena \
-         handover\",\n",
-    );
-    let _ = writeln!(
-        out,
-        "  \"config\": {{\"world\": \"{}\", \"scale\": {scale}, \"seed\": {seed}, \
-         \"tiny\": {tiny}}},",
-        world.name()
-    );
-    let _ = writeln!(
-        out,
-        "  \"world\": {{\"triples\": {triples}, \"labels\": {labels}}},"
-    );
-    let _ = writeln!(
-        out,
-        "  \"interners\": {{\"legacy_rehash_ms_best_of_6\": {legacy_ms:.3}, \
-         \"arena_handover_ms_best_of_6\": {arena_ms:.3}, \
-         \"factor\": {intern_factor:.1}, \"required_min_factor\": {min_factor:.1}}},"
-    );
-    let _ = writeln!(
-        out,
-        "  \"assembly\": {{\"to_ontology_ms_best_of_6\": {after_ms:.3}, \
-         \"legacy_estimate_ms\": {before_ms:.3}, \"factor\": {assemble_factor:.1}}},"
-    );
-    let _ = writeln!(
-        out,
-        "  \"anchor_query\": {{\"entity\": \"{}\", \"pred\": \"{}\", \"results\": {results}}}",
-        anchor_entity(world),
-        anchor_pred(world)
-    );
-    out.push_str("}\n");
-    std::fs::write(path, out).expect("write bench9 json report");
     eprintln!("wrote {path}");
 }
 

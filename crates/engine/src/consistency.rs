@@ -155,10 +155,11 @@ impl ConsistencyCache {
     ///   untouched and the matcher's candidate ordering reads only the
     ///   statistics of its own predicates, so the memoized search is
     ///   bit-identical on the new version.
-    /// * When the update deleted triples, edge ids were compacted and
-    ///   the `explanation_key` side of every key — a hash over
-    ///   [`questpro_graph::EdgeId`]s — may alias a different subgraph
-    ///   on the new version, so the whole cache is dropped.
+    /// * When the update deleted triples, up to that many surviving
+    ///   edges moved into the freed ids, and the `explanation_key` side
+    ///   of every key — a hash over [`questpro_graph::EdgeId`]s — may
+    ///   alias a different subgraph on the new version, so the whole
+    ///   cache is dropped.
     ///
     /// Returns the number of entries evicted.
     pub fn invalidate_delta(&mut self, summary: &DeltaSummary) -> usize {
@@ -452,7 +453,7 @@ mod tests {
         cache.consistent(&o, &erdos_q1(), &e1);
         cache.consistent(&o, &erdos_q2(), &e2);
         assert_eq!(cache.len(), 2);
-        // Deleting any triple compacts edge ids, so explanation keys
+        // Deleting any triple can move edge ids, so explanation keys
         // (hashes over edge ids) may alias: everything must go, even
         // though the deleted predicate is the only one in the world.
         let delta = TripleDelta {

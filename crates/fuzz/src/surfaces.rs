@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use questpro_engine::evaluate_union_with;
 use questpro_graph::rng::{Rng, StdRng};
-use questpro_graph::{triples, Ontology};
+use questpro_graph::{triples, EdgeId, Ontology, PredId};
 use questpro_query::iso::union_isomorphic;
 use questpro_query::sparql;
 use questpro_server::http::{parse_request, read_request};
@@ -363,15 +363,96 @@ fn update_panics(b: &[u8]) -> bool {
     .is_err()
 }
 
+/// Checks a chained ontology version against the version it came from
+/// and against `scratch`, a from-scratch build of the same triples:
+///
+/// * every spliced index equals a rebuild — the columnar block, each
+///   `by_pred` span against the ascending edge-table filter, each
+///   signature word against the OR of its span's predicates — and each
+///   predicate's statistics equal the scratch build's;
+/// * the id contract: every edge of `prev` below the new survivor count
+///   that the batch did not delete keeps its id.
+fn chained_matches_scratch(
+    prev: &Ontology,
+    delta: &questpro_graph::TripleDelta,
+    next: &Ontology,
+    scratch: &Ontology,
+) -> Result<(), String> {
+    if next.columnar() != &next.rebuild_columnar() {
+        return Err("spliced columnar indexes != rebuild".into());
+    }
+    for p in (0..next.pred_count()).map(PredId::from_usize) {
+        let scan: Vec<EdgeId> = next
+            .edge_ids()
+            .filter(|&e| next.edge(e).pred == p)
+            .collect();
+        if next.edges_with_pred(p) != scan.as_slice() {
+            return Err(format!(
+                "by_pred span of {} != edge-table filter",
+                next.pred_str(p)
+            ));
+        }
+        let stats = next.pred_stats(p);
+        let want = scratch
+            .pred_by_name(next.pred_str(p))
+            .map_or_else(Default::default, |q| scratch.pred_stats(q));
+        if stats != want {
+            return Err(format!(
+                "pred_stats of {} != scratch build",
+                next.pred_str(p)
+            ));
+        }
+    }
+    for n in next.node_ids() {
+        let bits = |es: &[EdgeId]| {
+            es.iter()
+                .fold(0, |acc, &e| acc | next.pred_bit(next.edge(e).pred))
+        };
+        if next.out_signature(n) != bits(next.out_edges(n))
+            || next.in_signature(n) != bits(next.in_edges(n))
+        {
+            return Err(format!("signature of {} != its spans", next.value_str(n)));
+        }
+    }
+    let deleted: Vec<EdgeId> = delta
+        .deletes
+        .iter()
+        .filter_map(|[s, p, o]| {
+            prev.find_edge(
+                prev.node_by_value(s)?,
+                prev.pred_by_name(p)?,
+                prev.node_by_value(o)?,
+            )
+        })
+        .collect();
+    let new_len = prev.edge_count() - deleted.len();
+    if let Some(e) = prev
+        .edge_ids()
+        .take(new_len)
+        .find(|&e| !deleted.contains(&e) && next.edge(e) != prev.edge(e))
+    {
+        return Err(format!(
+            "surviving edge {e} below the new length changed id"
+        ));
+    }
+    Ok(())
+}
+
 /// One update iteration: a chain of random batches against a random
-/// store. After every *accepted* batch the incremental store must be
-/// byte-identical to a from-scratch rebuild of the updated ontology,
-/// and both apply paths (columnar store overlay, graph delta) must
-/// agree on acceptance. The wire encoding round-trips each batch, and
-/// the mutation stage throws damaged batch JSON at the whole pipeline.
+/// store, applied both to the store and to one chained ontology. After
+/// every *accepted* batch the incremental store must be byte-identical
+/// to a from-scratch rebuild of the chained ontology, the chained
+/// ontology's spliced indexes must equal a from-scratch build (see
+/// [`chained_matches_scratch`]), and both apply paths (columnar store
+/// overlay, graph delta) must agree on acceptance. The wire encoding
+/// round-trips each batch, and the mutation stage throws damaged batch
+/// JSON at the whole pipeline.
 fn update_iter(rng: &mut StdRng) -> Vec<Failure> {
     let mut out = Vec::new();
     let mut store = gen::store(rng);
+    let mut ont = store
+        .to_ontology()
+        .expect("a generated store always materializes");
     let mut last_body = None;
     for _ in 0..rng.random_range(1..4usize) {
         let delta = gen::update_batch(rng, &store);
@@ -392,8 +473,8 @@ fn update_iter(rng: &mut StdRng) -> Vec<Failure> {
             )),
         }
         last_body = Some(body.to_text());
-        // Differential: the incremental columnar overlay vs rebuilding
-        // the updated ontology from scratch.
+        // Differential: the incremental columnar overlay vs the chained
+        // ontology, and both vs rebuilding from scratch.
         let inc = match catching(|| store.apply_update(&delta)) {
             Ok(r) => r,
             Err(msg) => {
@@ -401,53 +482,49 @@ fn update_iter(rng: &mut StdRng) -> Vec<Failure> {
                 return out;
             }
         };
-        let ont = store
-            .to_ontology()
-            .expect("a generated store always materializes");
-        let scratch = match catching(|| ont.apply_delta(&delta)) {
+        let chained = match catching(|| ont.apply_delta(&delta)) {
             Ok(r) => r,
             Err(msg) => {
                 out.push(panic_failure(body.to_text().as_bytes(), msg, update_panics));
                 return out;
             }
         };
-        match (inc, scratch) {
-            (Ok(inc), Ok((new_ont, _))) => {
-                let scratch_store = questpro_store::TripleStore::from_ontology(&new_ont)
+        let differential =
+            |msg: String| Failure::new(FailureKind::Differential, body.to_text().into_bytes(), msg);
+        match (inc, chained) {
+            (Ok(inc), Ok((next, _))) => {
+                let scratch_store = questpro_store::TripleStore::from_ontology(&next)
                     .expect("an updated ontology always re-encodes");
                 if questpro_store::encode(&inc) != questpro_store::encode(&scratch_store) {
-                    out.push(Failure::new(
-                        FailureKind::Differential,
-                        body.to_text().into_bytes(),
-                        "incremental store != from-scratch rebuild after update",
+                    out.push(differential(
+                        "incremental store != from-scratch rebuild after update".into(),
                     ));
                     return out;
                 }
-                if inc.to_ontology().is_err() {
-                    out.push(Failure::new(
-                        FailureKind::Differential,
-                        body.to_text().into_bytes(),
-                        "incrementally updated store no longer materializes",
+                let Ok(scratch) = inc.to_ontology() else {
+                    out.push(differential(
+                        "incrementally updated store no longer materializes".into(),
                     ));
+                    return out;
+                };
+                if let Err(msg) = chained_matches_scratch(&ont, &delta, &next, &scratch) {
+                    out.push(differential(format!("chained apply_delta: {msg}")));
                     return out;
                 }
                 store = inc;
+                ont = next;
             }
             (Err(_), Err(_)) => {}
             (Ok(_), Err(e)) => {
-                out.push(Failure::new(
-                    FailureKind::Differential,
-                    body.to_text().into_bytes(),
-                    format!("store accepted a batch the graph rejects: {e}"),
-                ));
+                out.push(differential(format!(
+                    "store accepted a batch the graph rejects: {e}"
+                )));
                 return out;
             }
             (Err(e), Ok(_)) => {
-                out.push(Failure::new(
-                    FailureKind::Differential,
-                    body.to_text().into_bytes(),
-                    format!("graph accepted a batch the store rejects: {e}"),
-                ));
+                out.push(differential(format!(
+                    "graph accepted a batch the store rejects: {e}"
+                )));
                 return out;
             }
         }
@@ -462,11 +539,7 @@ fn update_iter(rng: &mut StdRng) -> Vec<Failure> {
         if let Ok(v) = questpro_wire::parse(&mutated) {
             if let Ok(delta) = questpro_wire::update::parse_update(&v) {
                 let inc_ok = store.apply_update(&delta).is_ok();
-                let graph_ok = store
-                    .to_ontology()
-                    .expect("the chained store materializes")
-                    .apply_delta(&delta)
-                    .is_ok();
+                let graph_ok = ont.apply_delta(&delta).is_ok();
                 return Some((inc_ok, graph_ok));
             }
         }

@@ -106,12 +106,13 @@ impl Spans {
     }
 
     /// This orientation after the delta `s`. `touched` lists the nodes
-    /// incident to a deleted or inserted edge (ascending) and `inserts`
-    /// the inserted edges as `(node, pred, id)`, sorted. Every other node
-    /// keeps its span: consecutive untouched nodes are copied as one run
-    /// (a memcpy of the preds, a remap of the ids, a shift of the
-    /// offsets); only touched nodes are merged entry by entry.
-    fn splice(&self, s: &Splice<'_>, touched: &[u32], inserts: &[(u32, PredId, EdgeId)]) -> Spans {
+    /// incident to a deleted, moved or inserted edge (ascending) and
+    /// `placed` the moved and inserted edges as `(node, pred, new id)`,
+    /// sorted. Every other node keeps its span verbatim: consecutive
+    /// untouched nodes are copied as one run (a memcpy of the ids and the
+    /// preds, a shift of the offsets); only touched nodes are merged
+    /// entry by entry.
+    fn splice(&self, s: &Splice<'_>, touched: &[u32], placed: &[(u32, PredId, EdgeId)]) -> Spans {
         let m = s.new_edges.len();
         let mut next = Spans {
             sorted: Vec::with_capacity(m),
@@ -122,30 +123,26 @@ impl Spans {
         let (mut from, mut k) = (0usize, 0usize);
         for &t in touched {
             let t = t as usize;
-            next.copy_untouched(self, s, from, t);
-            let k_hi = k + inserts[k..]
-                .iter()
-                .take_while(|i| i.0 as usize == t)
-                .count();
-            next.merge_touched(self, s, t, &inserts[k..k_hi]);
+            next.copy_untouched(self, from, t);
+            let k_hi = k + placed[k..].iter().take_while(|i| i.0 as usize == t).count();
+            next.merge_touched(self, s, t, &placed[k..k_hi]);
             (from, k) = (t + 1, k_hi);
         }
-        next.copy_untouched(self, s, from, s.node_count);
+        next.copy_untouched(self, from, s.node_count);
         debug_assert_eq!(next.off.len(), s.node_count + 1);
         next
     }
 
     /// Appends the spans of untouched nodes `from..to`: old nodes keep
-    /// their (surviving, remapped) entries, new nodes are empty.
-    fn copy_untouched(&mut self, old: &Spans, s: &Splice<'_>, from: usize, to: usize) {
+    /// their entries (all of which keep their ids), new nodes are empty.
+    fn copy_untouched(&mut self, old: &Spans, from: usize, to: usize) {
         let old_to = to.min(old.node_count());
         if from < old_to {
             let (lo, hi) = (old.off[from], old.off[old_to]);
             let base = self.sorted.len() as u32;
             let run = lo as usize..hi as usize;
             self.preds.extend_from_slice(&old.preds[run.clone()]);
-            self.sorted
-                .extend(old.sorted[run].iter().map(|&e| s.survivor(e)));
+            self.sorted.extend_from_slice(&old.sorted[run]);
             self.off
                 .extend(old.off[from + 1..=old_to].iter().map(|&o| o - lo + base));
         }
@@ -154,16 +151,16 @@ impl Spans {
             .resize(self.off.len() + (to - from.max(old_to)), end);
     }
 
-    /// Appends node `t`'s span: a two-pointer merge by (pred, new edge
-    /// id) of its remapped survivors with its sorted inserts. Survivor
-    /// ids remap below `first_insert` and insert ids sit at or above it,
-    /// so the id comparison needs no special casing.
+    /// Appends node `t`'s span: a two-pointer merge by (pred, edge id)
+    /// of the entries that keep their ids with its sorted placed edges.
+    /// A moved edge's hole lies among the kept ids, so the merge compares
+    /// full (pred, id) keys.
     fn merge_touched(
         &mut self,
         old: &Spans,
         s: &Splice<'_>,
         t: usize,
-        inserts: &[(u32, PredId, EdgeId)],
+        placed: &[(u32, PredId, EdgeId)],
     ) {
         let range = if t < old.node_count() {
             old.range(NodeId::from_usize(t))
@@ -172,19 +169,20 @@ impl Spans {
         };
         let mut j = 0;
         for a in range {
-            let Some(e) = s.new_id(old.sorted[a]) else {
+            let e = old.sorted[a];
+            if !s.keeps(e) {
                 continue;
-            };
+            }
             let p = old.preds[a];
-            while j < inserts.len() && (inserts[j].1, inserts[j].2) < (p, e) {
-                self.sorted.push(inserts[j].2);
-                self.preds.push(inserts[j].1);
+            while j < placed.len() && (placed[j].1, placed[j].2) < (p, e) {
+                self.sorted.push(placed[j].2);
+                self.preds.push(placed[j].1);
                 j += 1;
             }
             self.sorted.push(e);
             self.preds.push(p);
         }
-        for &(_, p, e) in &inserts[j..] {
+        for &(_, p, e) in &placed[j..] {
             self.sorted.push(e);
             self.preds.push(p);
         }
@@ -320,26 +318,24 @@ impl ColumnarIndexes {
     /// rebuilding it from scratch.
     ///
     /// Each orientation is spliced (see the module docs of
-    /// [`delta`](crate::delta)): untouched nodes are bulk-copied with
-    /// their ids remapped, touched nodes merge their survivors with their
-    /// sorted inserts. Per-predicate statistics are adjusted from the
-    /// affected `(node, pred)` pairs only — `cardinality` by signed
+    /// [`delta`](crate::delta)): untouched nodes are copied verbatim,
+    /// touched nodes merge the entries that keep their ids with their
+    /// sorted moved and inserted edges. Per-predicate statistics are
+    /// adjusted from the affected `(node, pred)` pairs only — moved edges
+    /// change neither — `cardinality` by signed
     /// counts, the distinct counts by comparing old-span/new-span
     /// emptiness. The result is bit-identical to a from-scratch
     /// [`ColumnarIndexes`] build over the new edge table (asserted in
     /// debug builds and pinned by the delta differential tests).
     pub(crate) fn apply_delta(&self, s: &Splice<'_>) -> Self {
-        let mut ins_out: Vec<(u32, PredId, EdgeId)> = Vec::with_capacity(s.inserted().len());
-        let mut ins_in: Vec<(u32, PredId, EdgeId)> = Vec::with_capacity(s.inserted().len());
-        for (i, d) in s.inserted().iter().enumerate() {
-            let e = EdgeId::from_usize(s.first_insert + i);
-            ins_out.push((d.src.raw(), d.pred, e));
-            ins_in.push((d.dst.raw(), d.pred, e));
-        }
-        ins_out.sort_unstable();
-        ins_in.sort_unstable();
-        let out = self.out.splice(s, &s.touched_out, &ins_out);
-        let in_ = self.in_.splice(s, &s.touched_in, &ins_in);
+        let (mut placed_out, mut placed_in): (Vec<_>, Vec<_>) = s
+            .placed()
+            .map(|(e, d)| ((d.src.raw(), d.pred, e), (d.dst.raw(), d.pred, e)))
+            .unzip();
+        placed_out.sort_unstable();
+        placed_in.sort_unstable();
+        let out = self.out.splice(s, &s.touched_out, &placed_out);
+        let in_ = self.in_.splice(s, &s.touched_in, &placed_in);
         // Statistics: cardinality by signed per-pred counts; distinct
         // subject/object counts by re-testing span emptiness for the
         // touched (node, pred) pairs only.

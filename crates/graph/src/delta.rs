@@ -5,28 +5,34 @@
 //! sessions keep reading the version they pinned while new sessions see
 //! the head (copy-on-write versioning in `questpro-server`).
 //!
-//! A new version costs one sequential copy of the previous one plus work
-//! on the nodes the batch touches. What that means, versus rebuilding
-//! from text:
+//! A new version costs a verbatim copy of every index the batch leaves
+//! untouched plus work proportional to the batch. What that means, versus
+//! rebuilding from text:
 //!
 //! * the three label interners are reused append-only — no label is
-//!   re-hashed or re-copied: label bytes are `Arc`-shared between
-//!   versions, only the overflow id table is copied;
+//!   re-hashed or re-copied: the arena and the overflow base are
+//!   `Arc`-shared between versions, only the recent overflow (at most an
+//!   eighth of the base plus one batch) is copied;
 //! * node ids are stable: nodes are never deleted (a triple delete can
 //!   leave an isolated node, which keeps its id), inserts append;
-//! * edge ids are **stable for insert-only deltas**; deletes compact the
-//!   edge table run by run between the sorted deleted ids, a monotone
-//!   old→new remap (relative order kept), so sorted spans remain sorted
-//!   after remapping. Every surviving id in every index goes through
-//!   that one table, wherever in the edge table the deletes fall;
-//! * every index is spliced, never recounted. Each columnar SPO/OPS
-//!   orientation copies each run of untouched nodes in bulk (a memcpy of
-//!   the preds, a remap of the ids) and merges survivors with inserts
-//!   only on touched nodes — those incident to a deleted or inserted
-//!   edge. `by_pred` copies each predicate's survivors, then its
-//!   inserts. Signature words are copied, and only touched nodes are
-//!   recomputed from their new span. Per-predicate statistics are
-//!   adjusted from the touched `(node, pred)` pairs;
+//! * edge ids are **stable for insert-only deltas**. A batch with `k`
+//!   deletes shrinks the surviving table to `new_len = old_len − k`:
+//!   each deleted id below `new_len` is a *hole*, and the holes are
+//!   filled, in ascending order, with the surviving edges of
+//!   `[new_len, old_len)`, also ascending. Inserts append from
+//!   `new_len`. So at most `k` edges change id, and every other survivor
+//!   keeps its id, wherever in the edge table the deletes fall;
+//! * every index is spliced, never recounted, and nothing is renumbered.
+//!   A moved edge is spliced as if its old id were deleted and its new id
+//!   inserted, so its endpoints count as touched. Each columnar SPO/OPS
+//!   orientation copies each run of untouched nodes with `memcpy` and
+//!   merges kept entries with moved and inserted ones only on touched
+//!   nodes. `by_pred` copies a predicate no deleted, moved or inserted
+//!   edge carries whole, and rebuilds a touched one from bulk-copied
+//!   segments around binary-searched positions (spans are ascending).
+//!   Signature words are copied, and only touched nodes are recomputed
+//!   from their new span. Per-predicate statistics are adjusted from the
+//!   touched `(node, pred)` pairs;
 //! * per-version node-indexed arrays keep their predecessor's capacity
 //!   (`retained_capacity`), so consecutive versions request identical
 //!   allocation sizes and reuse the blocks of evicted versions.
@@ -88,8 +94,10 @@ pub struct DeltaSummary {
     pub pred_sig: u64,
     /// True iff the delta had no deletes, in which case every
     /// pre-existing [`EdgeId`] is still valid in the new version.
-    /// Deletes compact edge ids, so anything holding old edge ids
-    /// (explanations, cached matches) must be dropped or remapped.
+    /// A batch with `k` deletes moves at most `k` surviving edges from
+    /// the end of the table into the deleted slots (see the module
+    /// docs), so anything holding old edge ids (explanations, cached
+    /// matches) must be dropped or remapped.
     pub edge_ids_stable: bool,
 }
 
@@ -138,8 +146,8 @@ fn node_of(
 }
 
 /// Capacity policy for the per-version node-indexed arrays (node table,
-/// signature words, columnar offsets, interner overflow): a copy keeps
-/// its predecessor's capacity and grows by an eighth only when full.
+/// signature words, columnar offsets): a copy keeps its predecessor's
+/// capacity and grows by an eighth only when full.
 /// Consecutive versions then request identical allocation sizes, so the
 /// allocator can hand each new version the blocks of the version the
 /// registry just evicted instead of fragmenting the heap.
@@ -152,20 +160,24 @@ pub(crate) fn retained_capacity(prev_cap: usize, len: usize) -> usize {
 }
 
 /// What a validated delta does to the edge table, shared by every index
-/// splice: survivors keep their relative order and are compacted past
-/// the deleted ids, inserts append from `first_insert` on.
+/// splice. With `k` deletes the new survivor count is `first_insert =
+/// old_len − k`: surviving ids below it keep their id, each deleted id
+/// below it (a *hole*) takes, in order, the next surviving edge from
+/// `[first_insert, old_len)`, and inserts append from `first_insert` on.
+/// Every index treats a moved edge as deleted at its old id and inserted
+/// at its hole.
 pub(crate) struct Splice<'a> {
     /// The previous version's edge table.
     old_edges: &'a [EdgeData],
-    /// The new edge table: survivors, then inserts.
+    /// The new edge table: survivors with the holes filled, then inserts.
     pub(crate) new_edges: &'a [EdgeData],
     /// Deleted old edge ids, ascending.
     dels: &'a [u32],
+    /// The holes: the prefix of `dels` below `first_insert`.
+    holes: &'a [u32],
     /// New id of the first inserted edge (= the survivor count).
-    pub(crate) first_insert: usize,
-    /// `remap[e]` is the new id of old edge `e`, `u32::MAX` if deleted.
-    remap: Vec<u32>,
-    /// Nodes incident to a deleted or inserted edge as its source
+    first_insert: usize,
+    /// Nodes incident to a deleted, moved or inserted edge as its source
     /// (`touched_out`) or target (`touched_in`), ascending: the only
     /// nodes whose spans and signature words change.
     pub(crate) touched_out: Vec<u32>,
@@ -183,39 +195,35 @@ impl<'a> Splice<'a> {
         node_count: usize,
         pred_count: usize,
     ) -> Self {
-        // Each run of survivors between deleted ids shifts down by the
-        // number of deletes below it.
-        let mut remap = Vec::with_capacity(old_edges.len());
-        let mut run_start = 0u32;
-        for (below, &d) in (0u32..).zip(dels) {
-            remap.extend(run_start - below..d - below);
-            remap.push(u32::MAX);
-            run_start = d + 1;
-        }
-        let next = (old_edges.len() - dels.len()) as u32;
-        remap.extend(run_start - dels.len() as u32..next);
-        let touched = |end: fn(&EdgeData) -> NodeId| {
-            let mut v: Vec<u32> = dels
-                .iter()
-                .map(|&e| end(&old_edges[e as usize]))
-                .chain(new_edges[next as usize..].iter().map(end))
-                .map(NodeId::raw)
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        Splice {
+        let first_insert = old_edges.len() - dels.len();
+        let mut s = Splice {
             old_edges,
             new_edges,
             dels,
-            first_insert: next as usize,
-            remap,
-            touched_out: touched(|d| d.src),
-            touched_in: touched(|d| d.dst),
+            holes: &dels[..dels.partition_point(|&d| (d as usize) < first_insert)],
+            first_insert,
+            touched_out: Vec::new(),
+            touched_in: Vec::new(),
             node_count,
             pred_count,
-        }
+        };
+        s.touched_out = s.touched(|d| d.src);
+        s.touched_in = s.touched(|d| d.dst);
+        s
+    }
+
+    /// The endpoints `end` of every deleted and placed edge, ascending.
+    /// A moved edge has the same endpoints at both ids, so its placement
+    /// covers its removal too.
+    fn touched(&self, end: fn(&EdgeData) -> NodeId) -> Vec<u32> {
+        let mut v: Vec<u32> = self
+            .deleted_edges()
+            .chain(self.placed().map(|(_, d)| d))
+            .map(|d| end(d).raw())
+            .collect();
+        v.sort_unstable();
+        v.dedup();
+        v
     }
 
     /// The inserted edges (ids `first_insert..`).
@@ -228,22 +236,43 @@ impl<'a> Splice<'a> {
         self.dels.iter().map(|&e| &self.old_edges[e as usize])
     }
 
-    /// New id of old edge `e`, `None` if the delta deleted it.
-    #[inline]
-    pub(crate) fn new_id(&self, e: EdgeId) -> Option<EdgeId> {
-        let id = self.survivor(e);
-        (id.raw() != u32::MAX).then_some(id)
+    /// Every edge at a new id, with that id: the moved edges at their
+    /// holes, then the inserts.
+    pub(crate) fn placed(&self) -> impl Iterator<Item = (EdgeId, &'a EdgeData)> + '_ {
+        let new_edges = self.new_edges;
+        self.holes
+            .iter()
+            .map(move |&h| (EdgeId::new(h), &new_edges[h as usize]))
+            .chain(
+                self.inserted()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, d)| (EdgeId::from_usize(self.first_insert + i), d)),
+            )
     }
 
-    /// New id of an old edge known to survive.
+    /// Whether old edge `e` keeps its id: it is below `first_insert` and
+    /// not deleted. Every other old edge was deleted or moved.
     #[inline]
-    pub(crate) fn survivor(&self, e: EdgeId) -> EdgeId {
-        EdgeId::new(self.remap[e.index()])
+    pub(crate) fn keeps(&self, e: EdgeId) -> bool {
+        e.index() < self.first_insert && self.holes.binary_search(&e.raw()).is_err()
     }
 
-    /// `by_pred` after the delta: each predicate's remapped survivors
-    /// (ascending, since the remap is monotone) followed by its inserts.
+    /// `by_pred` after the delta. A predicate no deleted, moved or
+    /// inserted edge carries is copied whole. Otherwise its old span
+    /// (ascending) is cut at `first_insert` — everything past it was
+    /// deleted or moved — each hole is removed from its old edge's
+    /// predicate and added to its filler's at a binary-searched
+    /// position, with the segments between copied in bulk, and the
+    /// inserts are appended.
     fn by_pred(&self, old: &EdgeCsr) -> EdgeCsr {
+        // (pred, id, added), so at one id a removal precedes an addition.
+        let mut edits: Vec<(PredId, u32, bool)> = Vec::with_capacity(2 * self.holes.len());
+        for &h in self.holes {
+            edits.push((self.old_edges[h as usize].pred, h, false));
+            edits.push((self.new_edges[h as usize].pred, h, true));
+        }
+        edits.sort_unstable();
         let mut inserts: Vec<(PredId, EdgeId)> = self
             .inserted()
             .iter()
@@ -255,11 +284,27 @@ impl<'a> Splice<'a> {
         let mut ids = Vec::with_capacity(self.new_edges.len());
         off.push(0);
         let old_pred_count = old.off.len() - 1;
-        let mut k = 0;
+        let cut = self.first_insert as u32;
+        let (mut j, mut k) = (0, 0);
         for p in 0..self.pred_count {
-            if p < old_pred_count {
-                ids.extend(old.span(p).iter().filter_map(|&e| self.new_id(e)));
+            let mut span = if p < old_pred_count { old.span(p) } else { &[] };
+            if span.last().is_some_and(|e| e.raw() >= cut) {
+                span = &span[..span.partition_point(|e| e.raw() < cut)];
             }
+            while j < edits.len() && edits[j].0.index() == p {
+                let (_, id, added) = edits[j];
+                let at = span.partition_point(|e| e.raw() < id);
+                ids.extend_from_slice(&span[..at]);
+                if added {
+                    ids.push(EdgeId::new(id));
+                    span = &span[at..];
+                } else {
+                    debug_assert_eq!(span.get(at).map(|e| e.raw()), Some(id));
+                    span = &span[at + 1..];
+                }
+                j += 1;
+            }
+            ids.extend_from_slice(span);
             while k < inserts.len() && inserts[k].0.index() == p {
                 ids.push(inserts[k].1);
                 k += 1;
@@ -372,16 +417,18 @@ impl Ontology {
             });
             pred_sig |= 1u64 << (pid.raw() & 63);
         }
-        // Compact survivors run by run between the deleted ids, then
-        // append the inserts.
-        let mut edges: Vec<EdgeData> =
-            Vec::with_capacity(self.edges.len() - dels.len() + inserted.len());
-        let mut run_start = 0usize;
-        for &d in &dels {
-            edges.extend_from_slice(&self.edges[run_start..d as usize]);
-            run_start = d as usize + 1;
+        // Survivors keep their slots; the surviving edges past the new
+        // length fill the holes in order; inserts append.
+        let new_len = self.edges.len() - dels.len();
+        let holes = dels.partition_point(|&d| (d as usize) < new_len);
+        let mut edges: Vec<EdgeData> = Vec::with_capacity(new_len + inserted.len());
+        edges.extend_from_slice(&self.edges[..new_len]);
+        let tail_dels = &dels[holes..];
+        let fillers =
+            (new_len..self.edges.len()).filter(|&e| tail_dels.binary_search(&(e as u32)).is_err());
+        for (&h, f) in dels[..holes].iter().zip(fillers) {
+            edges[h as usize] = self.edges[f];
         }
-        edges.extend_from_slice(&self.edges[run_start..]);
         edges.extend_from_slice(&inserted);
         let splice = Splice::new(&self.edges, &edges, &dels, nodes.len(), preds.len());
         let columnar = self.columnar.apply_delta(&splice);
@@ -532,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_delta_compacts_ids_and_reports_instability() {
+    fn delete_delta_reports_instability() {
         let o = base();
         let (next, sum) = o
             .apply_delta(&delta(&[], &[["paper1", "wb", "Bob"]]))
@@ -543,6 +590,114 @@ mod tests {
         // Node survives deletion of its only edge context.
         assert!(next.node_by_value("Bob").is_some());
         assert_matches_scratch(&next);
+    }
+
+    /// The triple of edge `e`, as a delta names it.
+    fn triple_of(o: &Ontology, e: usize) -> [String; 3] {
+        let d = o.edge(EdgeId::from_usize(e));
+        [
+            o.value_str(d.src).to_string(),
+            o.pred_str(d.pred).to_string(),
+            o.value_str(d.dst).to_string(),
+        ]
+    }
+
+    /// Applies `d` and checks the id contract against `o`: every survivor
+    /// below `new_len` that is not a hole keeps its id, the surviving
+    /// edges past `new_len` fill the holes in order, exactly as many
+    /// edges move as there are holes, inserts follow in batch order, and
+    /// every spliced index equals a rebuild.
+    fn assert_id_contract(case: &str, o: &Ontology, d: &TripleDelta) -> Ontology {
+        let (next, sum) = o.apply_delta(d).expect("valid batch");
+        let id_of = |o: &Ontology, [s, p, t]: &[String; 3]| {
+            o.find_edge(o.node_by_value(s)?, o.pred_by_name(p)?, o.node_by_value(t)?)
+        };
+        let mut dels: Vec<usize> = d
+            .deletes
+            .iter()
+            .map(|t| id_of(o, t).expect("deleted triple exists").index())
+            .collect();
+        dels.sort_unstable();
+        let new_len = o.edge_count() - dels.len();
+        let holes: Vec<usize> = dels.iter().copied().filter(|&e| e < new_len).collect();
+        let fillers: Vec<usize> = (new_len..o.edge_count())
+            .filter(|e| !dels.contains(e))
+            .collect();
+        assert_eq!(holes.len(), fillers.len());
+        let at = |o: &Ontology, e: usize| o.edge(EdgeId::from_usize(e));
+        for e in (0..new_len).filter(|e| !dels.contains(e)) {
+            assert_eq!(at(&next, e), at(o, e), "{case}: survivor {e} kept its id");
+        }
+        for (&h, &f) in holes.iter().zip(&fillers) {
+            assert_eq!(at(&next, h), at(o, f), "{case}: hole {h} holds edge {f}");
+        }
+        let moved = o
+            .edge_ids()
+            .filter(|e| !dels.contains(&e.index()))
+            .filter(|&e| id_of(&next, &triple_of(o, e.index())) != Some(e))
+            .count();
+        assert_eq!(moved, holes.len(), "{case}: moved edges");
+        for (i, t) in d.inserts.iter().enumerate() {
+            assert_eq!(id_of(&next, t), Some(EdgeId::from_usize(new_len + i)));
+        }
+        assert_eq!(sum.edge_ids_stable, dels.is_empty());
+        assert_eq!(next.edge_count(), new_len + d.inserts.len());
+        assert_spliced_indexes_match_rebuild(&next);
+        assert_matches_scratch(&next);
+        next
+    }
+
+    #[test]
+    fn deletes_anywhere_move_at_most_k_edges() {
+        let o = {
+            let mut b = Ontology::builder();
+            for i in 0..48 {
+                let s = format!("n{}", i % 9);
+                let t = format!("n{}", (i * 7 + 3) % 11);
+                b.edge_idempotent(&s, &format!("p{}", i % 3), &t);
+            }
+            b.build()
+        };
+        let m = o.edge_count();
+        let batch = |ids: &[usize], inserts: Vec<[String; 3]>| TripleDelta {
+            inserts,
+            deletes: ids.iter().map(|&e| triple_of(&o, e)).collect(),
+        };
+        let fresh = || vec![["n0".to_string(), "p9".to_string(), "new".to_string()]];
+        let all: Vec<usize> = (0..m).collect();
+        let cases: Vec<(&str, TripleDelta)> = vec![
+            ("head", batch(&[0, 1, 2], fresh())),
+            ("middle", batch(&[m / 2 - 1, m / 2, m / 2 + 3], fresh())),
+            ("tail", batch(&[m - 3, m - 2, m - 1], fresh())),
+            ("every edge", batch(&all, fresh())),
+            (
+                "every edge, reinserted",
+                batch(&all, all.iter().map(|&e| triple_of(&o, e)).collect()),
+            ),
+            // The triple of id 5 leaves and comes back at the end.
+            (
+                "delete and reinsert",
+                batch(&[0, 5, m - 1], vec![triple_of(&o, 5)]),
+            ),
+            // Fillers past new_len that are themselves deleted are skipped.
+            (
+                "deleted fillers",
+                batch(&[0, 1, m - 4, m - 3, m - 1], fresh()),
+            ),
+            ("scattered", batch(&[3, 11, 12, 30, m - 2], Vec::new())),
+        ];
+        for (case, d) in cases {
+            let next = assert_id_contract(case, &o, &d);
+            // A second batch on the result moves edges a second time.
+            let d2 = TripleDelta {
+                inserts: Vec::new(),
+                deletes: (0..next.edge_count())
+                    .step_by(4)
+                    .map(|e| triple_of(&next, e))
+                    .collect(),
+            };
+            assert_id_contract(case, &next, &d2);
+        }
     }
 
     #[test]

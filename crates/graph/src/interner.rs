@@ -4,28 +4,32 @@
 //! dense `u32` index. Interning keeps the hot matching loops of the query
 //! engine free of string comparisons: label equality is integer equality.
 //!
-//! Two storage modes share one type:
+//! Ids `0..` resolve, in order, through up to three parts:
 //!
-//! * **Dynamic** — one shared `Arc<str>` per label plus a hash index;
-//!   what the incremental [`intern`](Interner::intern) path produces.
 //! * **Sorted arena** — all labels concatenated in one allocation with an
 //!   offset table, built by [`Interner::from_sorted_labels`] from an
 //!   already-sorted unique label set (the persistent store's dictionary
 //!   order). Lookup is a binary search over the arena — no hash map is
 //!   ever built, which is what makes snapshot cold-start O(bytes copied)
-//!   instead of O(labels hashed). Labels interned *after* arena
-//!   construction (live ontology updates) go to a dynamic overflow
-//!   section with ids continuing past the arena, so an arena-backed
-//!   interner still supports `intern`.
+//!   instead of O(labels hashed).
+//! * **Overflow base** — labels interned past the arena (the builder's
+//!   labels, or a live ontology's updates): one `Arc<str>` per label plus
+//!   a hash index, behind an `Arc` that every ontology version
+//!   [`Ontology::apply_delta`](crate::Ontology::apply_delta) derives
+//!   shares with its predecessor. A base no other version holds grows in
+//!   place; a shared one is frozen.
+//! * **Recent overflow** — this version's labels since the base was last
+//!   flattened. Forking a version copies only this part. When it
+//!   outgrows an eighth of the base the two are flattened into a new
+//!   base, so a fork copies at most an eighth of the base plus one
+//!   batch's labels, and flattening costs O(1) amortized per label.
 //!
-//! Label bytes are immutable and shared (`Arc`) in both modes, so every
-//! ontology version [`Ontology::apply_delta`](crate::Ontology::apply_delta)
-//! derives reuses its predecessor's labels instead of copying them.
+//! Label bytes are immutable and shared (`Arc`) everywhere, so a new
+//! version never re-copies a label, and dropping a version frees only its
+//! recent part.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use crate::delta::retained_capacity;
 
 /// Sorted label arena: `text[offs[i]..offs[i+1]]` is label `i`, labels
 /// strictly ascending.
@@ -60,18 +64,45 @@ impl SortedArena {
     }
 }
 
+/// Overflow labels in id order, with their hash index.
+#[derive(Debug, Default, Clone)]
+struct Overflow {
+    strings: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
+}
+
+impl Overflow {
+    fn with_capacity(cap: usize) -> Self {
+        Self {
+            strings: Vec::with_capacity(cap),
+            index: HashMap::with_capacity(cap),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.strings.len()
+    }
+
+    fn push(&mut self, label: Arc<str>, i: u32) {
+        self.strings.push(Arc::clone(&label));
+        self.index.insert(label, i);
+    }
+}
+
 /// A dense string interner.
 ///
 /// Strings are assigned consecutive `u32` indexes in insertion order.
 /// Lookup by string is `O(1)` average (hash map) or `O(log n)` (sorted
-/// arena mode); lookup by index is a direct array access either way.
+/// arena); lookup by index is a direct array access either way.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
     /// Arena-backed prefix: ids `0..arena.len()` resolve here.
     arena: Option<Arc<SortedArena>>,
-    /// Dynamic labels; ids continue after the arena prefix.
-    strings: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    /// Overflow shared between versions; ids continue after the arena.
+    base: Arc<Overflow>,
+    /// This version's overflow since the last flatten; ids continue
+    /// after the base. Never longer than an eighth of the base.
+    recent: Overflow,
 }
 
 impl Interner {
@@ -83,40 +114,9 @@ impl Interner {
     /// Creates an empty interner with capacity for `cap` strings.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            arena: None,
-            strings: Vec::with_capacity(cap),
-            index: HashMap::with_capacity(cap),
+            base: Arc::new(Overflow::with_capacity(cap)),
+            ..Self::default()
         }
-    }
-
-    /// Builds an interner whose index assignment is exactly the order of
-    /// `labels` (label `i` gets index `i`).
-    ///
-    /// This is the bulk-construction path used when decoding a persistent
-    /// store snapshot, where the label set is already deduplicated and
-    /// id-stable (sorted), so per-string `intern` probing is wasted work.
-    /// Returns `None` if any label repeats.
-    pub fn from_unique_labels<I>(labels: I) -> Option<Self>
-    where
-        I: IntoIterator<Item = Box<str>>,
-    {
-        let iter = labels.into_iter();
-        let (lo, _) = iter.size_hint();
-        let mut strings: Vec<Arc<str>> = Vec::with_capacity(lo);
-        let mut index: HashMap<Arc<str>, u32> = HashMap::with_capacity(lo);
-        for s in iter {
-            let s: Arc<str> = s.into();
-            let i = u32::try_from(strings.len()).ok()?;
-            if index.insert(s.clone(), i).is_some() {
-                return None;
-            }
-            strings.push(s);
-        }
-        Some(Self {
-            arena: None,
-            strings,
-            index,
-        })
     }
 
     /// Builds an arena-backed interner from labels in **strictly
@@ -152,8 +152,7 @@ impl Interner {
                 text: text.into_boxed_str(),
                 offs,
             })),
-            strings: Vec::new(),
-            index: HashMap::new(),
+            ..Self::default()
         })
     }
 
@@ -163,18 +162,29 @@ impl Interner {
     }
 
     /// A copy for the next ontology version with room for `additional`
-    /// new labels: label bytes are shared, not copied, and the overflow
-    /// table keeps its capacity (see [`retained_capacity`]).
+    /// new labels: the arena and the overflow base are shared, only the
+    /// recent overflow is copied.
     pub(crate) fn fork(&self, additional: usize) -> Self {
-        let len = self.strings.len();
-        let mut strings =
-            Vec::with_capacity(retained_capacity(self.strings.capacity(), len + additional));
-        strings.extend(self.strings.iter().cloned());
+        let mut recent = Overflow {
+            strings: Vec::with_capacity(self.recent.len() + additional),
+            index: self.recent.index.clone(),
+        };
+        recent.strings.extend_from_slice(&self.recent.strings);
+        recent.index.reserve(additional);
         Self {
             arena: self.arena.clone(),
-            strings,
-            index: self.index.clone(),
+            base: Arc::clone(&self.base),
+            recent,
         }
+    }
+
+    /// Moves the recent overflow into the base, copying the base first
+    /// if another version shares it.
+    fn flatten(&mut self) {
+        let recent = std::mem::take(&mut self.recent);
+        let base = Arc::make_mut(&mut self.base);
+        base.strings.extend(recent.strings);
+        base.index.extend(recent.index);
     }
 
     /// Interns `s`, returning its index; re-interning returns the same
@@ -183,10 +193,17 @@ impl Interner {
         if let Some(i) = self.get(s) {
             return i;
         }
-        let i = u32::try_from(self.arena_len() + self.strings.len()).expect("interner overflow");
+        let i = u32::try_from(self.len()).expect("interner overflow");
         let label: Arc<str> = s.into();
-        self.strings.push(Arc::clone(&label));
-        self.index.insert(label, i);
+        match Arc::get_mut(&mut self.base) {
+            Some(base) if self.recent.strings.is_empty() => base.push(label, i),
+            _ => {
+                self.recent.push(label, i);
+                if self.recent.len() > self.base.len() / 8 {
+                    self.flatten();
+                }
+            }
+        }
         i
     }
 
@@ -197,7 +214,11 @@ impl Interner {
                 return Some(i);
             }
         }
-        self.index.get(s).copied()
+        self.base
+            .index
+            .get(s)
+            .or_else(|| self.recent.index.get(s))
+            .copied()
     }
 
     /// Resolves an index back to its string.
@@ -205,26 +226,26 @@ impl Interner {
     /// # Panics
     /// Panics if `i` was not produced by this interner.
     pub fn resolve(&self, i: u32) -> &str {
-        let base = self.arena_len();
-        if (i as usize) < base {
-            self.arena.as_ref().expect("arena prefix").label(i as usize)
-        } else {
-            &self.strings[i as usize - base]
-        }
+        self.try_resolve(i).expect("interned id")
     }
 
     /// Resolves an index if it is in range.
     pub fn try_resolve(&self, i: u32) -> Option<&str> {
-        let base = self.arena_len();
-        if (i as usize) < base {
-            return Some(self.arena.as_ref()?.label(i as usize));
+        let arena = self.arena_len();
+        let i = i as usize;
+        if i < arena {
+            return Some(self.arena.as_ref()?.label(i));
         }
-        self.strings.get(i as usize - base).map(|s| &**s)
+        let i = i - arena;
+        match self.base.strings.get(i) {
+            Some(s) => Some(s),
+            None => self.recent.strings.get(i - self.base.len()).map(|s| &**s),
+        }
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.arena_len() + self.strings.len()
+        self.arena_len() + self.base.len() + self.recent.len()
     }
 
     /// Whether the interner holds no strings.
@@ -234,18 +255,16 @@ impl Interner {
 
     /// Iterates over `(index, string)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        let base = self.arena_len();
         let arena = self
             .arena
             .as_ref()
             .into_iter()
-            .flat_map(|a| (0..a.len()).map(move |i| (i as u32, a.label(i))));
-        arena.chain(
-            self.strings
-                .iter()
-                .enumerate()
-                .map(move |(i, s)| ((base + i) as u32, &**s)),
-        )
+            .flat_map(|a| (0..a.len()).map(move |i| a.label(i)));
+        let overflow = self.base.strings.iter().chain(&self.recent.strings);
+        arena
+            .chain(overflow.map(|s| &**s))
+            .enumerate()
+            .map(|(i, s)| (i as u32, s))
     }
 }
 
@@ -283,16 +302,6 @@ mod tests {
         }
         let collected: Vec<_> = it.iter().map(|(_, s)| s.to_string()).collect();
         assert_eq!(collected, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn from_unique_labels_preserves_order_and_rejects_duplicates() {
-        let it =
-            Interner::from_unique_labels(["a", "b", "c"].map(Box::<str>::from)).expect("unique");
-        assert_eq!(it.len(), 3);
-        assert_eq!(it.get("b"), Some(1));
-        assert_eq!(it.resolve(2), "c");
-        assert!(Interner::from_unique_labels(["a", "b", "a"].map(Box::<str>::from)).is_none());
     }
 
     #[test]
@@ -346,5 +355,111 @@ mod tests {
         assert_eq!(it.len(), 3);
         let collected: Vec<_> = it.iter().map(|(_, s)| s.to_string()).collect();
         assert_eq!(collected, vec!["a", "c", "b"]);
+    }
+
+    /// A chain of versions the way `Ontology::apply_delta` makes them:
+    /// each fork interns one batch of fresh labels (and re-interns an
+    /// old one). Returns every version, oldest first.
+    fn version_chain(start: Interner, batches: usize, batch: usize) -> Vec<Interner> {
+        let mut versions = vec![start];
+        for b in 0..batches {
+            let prev = versions.last().unwrap();
+            let mut next = prev.fork(batch);
+            for i in 0..batch {
+                next.intern(&format!("label{b}_{i}"));
+            }
+            next.intern("a");
+            versions.push(next);
+        }
+        versions
+    }
+
+    #[test]
+    fn forks_share_the_base_and_copy_only_the_recent_part() {
+        let start = Interner::from_sorted_labels(["a", "b", "c"], 8).expect("sorted");
+        let versions = version_chain(start, 400, 4);
+        let mut shared = 0;
+        for pair in versions.windows(2) {
+            let (prev, next) = (&pair[0], &pair[1]);
+            let fork = prev.fork(4);
+            assert!(
+                Arc::ptr_eq(&fork.base, &prev.base),
+                "a fork shares its base"
+            );
+            assert!(Arc::ptr_eq(
+                fork.arena.as_ref().unwrap(),
+                prev.arena.as_ref().unwrap()
+            ));
+            assert!(
+                fork.recent.len() <= fork.base.len() / 8 + 4,
+                "a fork copied {} labels over a base of {}",
+                fork.recent.len(),
+                fork.base.len()
+            );
+            assert!(next.recent.len() <= next.base.len() / 8);
+            if Arc::ptr_eq(&next.base, &prev.base) {
+                shared += 1;
+            }
+        }
+        // Most versions reuse their predecessor's base outright.
+        assert!(shared > 300, "only {shared} of 400 versions share a base");
+    }
+
+    #[test]
+    fn a_dropped_fork_leaves_its_parent_unchanged() {
+        let start = Interner::from_sorted_labels(["a", "b"], 4).expect("sorted");
+        let parent = version_chain(start, 50, 4).pop().unwrap();
+        let before: Vec<(u32, String)> = parent.iter().map(|(i, s)| (i, s.to_string())).collect();
+        let base = Arc::clone(&parent.base);
+        {
+            // Enough labels to flatten inside the fork more than once.
+            let mut fork = parent.fork(4);
+            for i in 0..500 {
+                fork.intern(&format!("rejected{i}"));
+            }
+            assert!(!Arc::ptr_eq(&fork.base, &parent.base));
+        }
+        let after: Vec<(u32, String)> = parent.iter().map(|(i, s)| (i, s.to_string())).collect();
+        assert_eq!(before, after);
+        assert!(Arc::ptr_eq(&base, &parent.base));
+        assert_eq!(parent.get("rejected0"), None);
+        assert_eq!(parent.try_resolve(parent.len() as u32), None);
+    }
+
+    #[test]
+    fn ids_across_flattens_equal_sequential_interning() {
+        for start in [
+            Interner::new(),
+            Interner::from_sorted_labels(["a", "m", "z"], 4).expect("sorted"),
+        ] {
+            let versions = version_chain(start.clone(), 300, 4);
+            let flattens = versions
+                .windows(2)
+                .filter(|w| !Arc::ptr_eq(&w[0].base, &w[1].base))
+                .count();
+            assert!(flattens >= 3, "only {flattens} flattens");
+            let mut plain = start;
+            for b in 0..300 {
+                for i in 0..4 {
+                    plain.intern(&format!("label{b}_{i}"));
+                }
+                plain.intern("a");
+            }
+            let last = versions.last().unwrap();
+            assert_eq!(last.len(), plain.len());
+            let got: Vec<(u32, &str)> = last.iter().collect();
+            let want: Vec<(u32, &str)> = plain.iter().collect();
+            assert_eq!(got, want);
+            for (i, s) in want {
+                assert_eq!(last.get(s), Some(i));
+                assert_eq!(last.resolve(i), s);
+            }
+            // Every older version still resolves exactly its own prefix.
+            for v in &versions {
+                let n = v.len();
+                assert!(v.iter().zip(plain.iter()).all(|(a, b)| a == b));
+                assert_eq!(v.try_resolve(n as u32), None);
+            }
+        }
     }
 }

@@ -10,16 +10,13 @@
 # columnar index-build times per world, and the improvement factor over
 # the committed BENCH_1.json baseline when one exists), and BENCH_7.json
 # (snapshot cold-start vs text re-parse, matcher throughput at the
-# 10^6-triple scale, and the corruption-sweep tally), and BENCH_9.json
-# (the cold-start assembly step: legacy label re-hash vs the
-# sorted-arena interner handover, with the speedup factor gated), and
-# BENCH_10.json (session telemetry: disabled-path record cost gated
+# 10^6-triple scale, and the corruption-sweep tally), and BENCH_10.json (session telemetry: disabled-path record cost gated
 # < 1% of the median session wall, enabled-vs-disabled walls side by
 # side, and the convergence-round distribution on three worlds).
 #
-# Usage: scripts/bench.sh [output.json] [trace-json] [b6-json] [b7-json] [b9-json] [b10-json]
+# Usage: scripts/bench.sh [output.json] [trace-json] [b6-json] [b7-json] [b10-json]
 #   BENCH_TINY=1   smoke mode: 1 trial, heaviest query only, 10^5-triple
-#                  B7/B9 worlds, 2 sessions per B10 world (CI).
+#                  B7 world, 2 sessions per B10 world (CI).
 #   BENCH_THREADS  largest thread count in the sweep (default 8).
 set -euo pipefail
 caller_dir="$PWD"
@@ -30,13 +27,11 @@ out="${1:-BENCH_1.json}"
 out3="${2:-BENCH_3.json}"
 out6="${3:-BENCH_6.json}"
 out7="${4:-BENCH_7.json}"
-out9="${5:-BENCH_9.json}"
-out10="${6:-BENCH_10.json}"
+out10="${5:-BENCH_10.json}"
 [[ "$out" == /* ]] || out="$caller_dir/$out"
 [[ "$out3" == /* ]] || out3="$caller_dir/$out3"
 [[ "$out6" == /* ]] || out6="$caller_dir/$out6"
 [[ "$out7" == /* ]] || out7="$caller_dir/$out7"
-[[ "$out9" == /* ]] || out9="$caller_dir/$out9"
 [[ "$out10" == /* ]] || out10="$caller_dir/$out10"
 threads="${BENCH_THREADS:-8}"
 
@@ -68,15 +63,6 @@ if [[ "${BENCH_TINY:-0}" == "1" ]]; then
 fi
 ./target/release/exp_bench "${b7args[@]}"
 
-# B9 likewise runs cold: the before/after interner measurement must not
-# inherit a warmed allocator from the B7 world build.
-echo "== running cold-start assembly bench (B9) =="
-b9args=(--bench9 "$out9")
-if [[ "${BENCH_TINY:-0}" == "1" ]]; then
-  b9args+=(--tiny)
-fi
-./target/release/exp_bench "${b9args[@]}"
-
 # B10 also runs standalone: its session walls feed the < 1% telemetry
 # gate and must not inherit allocator warmth from the sweep above.
 echo "== running session telemetry bench (B10) =="
@@ -91,16 +77,15 @@ python3 -m json.tool "$out" > /dev/null
 python3 -m json.tool "$out3" > /dev/null
 python3 -m json.tool "$out6" > /dev/null
 python3 -m json.tool "$out7" > /dev/null
-python3 -m json.tool "$out9" > /dev/null
 python3 -m json.tool "$out10" > /dev/null
-echo "ok — $out, $out3, $out6, $out7, $out9 and $out10 are well-formed JSON"
+echo "ok — $out, $out3, $out6, $out7 and $out10 are well-formed JSON"
 
 # Rows measured with more worker threads than the host has CPUs are
 # scheduling artifacts, not parallel speedups (the runner still checks
 # their outputs, but the wall times mean nothing). Make any such row
 # impossible to miss.
 flagged=0
-for report in "$out" "$out3" "$out6" "$out7" "$out9" "$out10"; do
+for report in "$out" "$out3" "$out6" "$out7" "$out10"; do
   if grep -q '"valid_parallel": false' "$report"; then
     flagged=1
     echo
