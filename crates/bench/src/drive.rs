@@ -33,6 +33,9 @@ use std::time::{Duration, Instant};
 
 use questpro_server::sys::{Event, Interest, Poller};
 
+/// Readiness events taken per poller wait.
+const EVENTS_PER_WAIT: usize = 256;
+
 /// What to run; see the module docs for the two disciplines.
 pub struct DriveConfig {
     /// Server to hammer.
@@ -87,7 +90,9 @@ struct Conn {
     wpos: Option<usize>,
     /// Scheduled-or-send instant of the in-flight request.
     t0: Option<Instant>,
-    interest: Interest,
+    /// What the poller registration is armed for; `None` once an event
+    /// for it was reported (registrations are one-shot).
+    interest: Option<Interest>,
     dead: bool,
 }
 
@@ -106,7 +111,7 @@ impl Conn {
 /// reported in the [`DriveReport`], not as an `Err`.
 pub fn run(cfg: &DriveConfig) -> io::Result<DriveReport> {
     let mut report = DriveReport::default();
-    let mut poller = Poller::new(cfg.connections.max(64))?;
+    let poller = Poller::new()?;
 
     // Establish every connection up front, blocking: loopback
     // handshakes complete in the kernel's accept backlog long before
@@ -121,13 +126,13 @@ pub fn run(cfg: &DriveConfig) -> io::Result<DriveReport> {
         };
         stream.set_nodelay(true).ok();
         stream.set_nonblocking(true)?;
-        poller.add(stream.as_raw_fd(), Interest::NONE, i)?;
+        poller.add(stream.as_raw_fd(), Interest::READ, i)?;
         conns.push(Conn {
             stream,
             rbuf: Vec::new(),
             wpos: None,
             t0: None,
-            interest: Interest::NONE,
+            interest: Some(Interest::READ),
             dead: false,
         });
     }
@@ -149,7 +154,7 @@ pub fn run(cfg: &DriveConfig) -> io::Result<DriveReport> {
     if rate.is_none() {
         while dispatched < cfg.total_requests {
             let Some(i) = idle.pop() else { break };
-            start_request(&mut conns[i], i, Instant::now(), &mut poller, cfg);
+            start_request(&mut conns[i], i, Instant::now(), &poller, cfg);
             dispatched += 1;
         }
     }
@@ -170,7 +175,7 @@ pub fn run(cfg: &DriveConfig) -> io::Result<DriveReport> {
             while let Some(&due) = backlog.front() {
                 let Some(i) = idle.pop() else { break };
                 backlog.pop_front();
-                start_request(&mut conns[i], i, due, &mut poller, cfg);
+                start_request(&mut conns[i], i, due, &poller, cfg);
                 dispatched += 1;
             }
         }
@@ -193,7 +198,7 @@ pub fn run(cfg: &DriveConfig) -> io::Result<DriveReport> {
             }
         };
         events.clear();
-        poller.wait(wait_ms, &mut events)?;
+        poller.wait(wait_ms, EVENTS_PER_WAIT, &mut events)?;
 
         for ev in &events {
             let i = ev.token;
@@ -203,24 +208,25 @@ pub fn run(cfg: &DriveConfig) -> io::Result<DriveReport> {
             if conn.dead {
                 continue;
             }
+            conn.interest = None;
             if ev.error {
-                kill(conn, i, &mut idle, &mut poller, &mut report, &mut resolved);
+                kill(conn, i, &mut idle, &poller, &mut report, &mut resolved);
                 continue;
             }
             if ev.writable && conn.wpos.is_some() {
-                flush_write(conn, i, &mut poller, cfg);
+                flush_write(conn, i, &poller, cfg);
             }
             if ev.readable {
                 match drain_read(conn) {
                     Ok(eof) => {
                         settle_responses(conn, i, cfg, &mut report, &mut resolved, &mut idle);
                         if eof {
-                            kill(conn, i, &mut idle, &mut poller, &mut report, &mut resolved);
+                            kill(conn, i, &mut idle, &poller, &mut report, &mut resolved);
                             continue;
                         }
                     }
                     Err(_) => {
-                        kill(conn, i, &mut idle, &mut poller, &mut report, &mut resolved);
+                        kill(conn, i, &mut idle, &poller, &mut report, &mut resolved);
                         continue;
                     }
                 }
@@ -231,9 +237,17 @@ pub fn run(cfg: &DriveConfig) -> io::Result<DriveReport> {
             {
                 if let Some(pos) = idle.iter().rposition(|&x| x == i) {
                     idle.swap_remove(pos);
-                    start_request(&mut conns[i], i, Instant::now(), &mut poller, cfg);
+                    start_request(&mut conns[i], i, Instant::now(), &poller, cfg);
                     dispatched += 1;
                 }
+            }
+            let conn = &mut conns[i];
+            if !conn.dead {
+                let want = Interest {
+                    read: true,
+                    write: conn.wpos.is_some(),
+                };
+                rearm(conn, i, want, &poller);
             }
         }
 
@@ -252,13 +266,7 @@ pub fn run(cfg: &DriveConfig) -> io::Result<DriveReport> {
 
 /// Arms `conn` with one copy of the shared request; `t0` is the
 /// latency clock (scheduled time under open loop).
-fn start_request(
-    conn: &mut Conn,
-    token: usize,
-    t0: Instant,
-    poller: &mut Poller,
-    cfg: &DriveConfig,
-) {
+fn start_request(conn: &mut Conn, token: usize, t0: Instant, poller: &Poller, cfg: &DriveConfig) {
     conn.t0 = Some(t0);
     conn.wpos = Some(0);
     flush_write(conn, token, poller, cfg);
@@ -266,7 +274,7 @@ fn start_request(
 
 /// Writes as much of the pending request as the socket takes; arms
 /// write interest only when the kernel buffer pushes back.
-fn flush_write(conn: &mut Conn, token: usize, poller: &mut Poller, cfg: &DriveConfig) {
+fn flush_write(conn: &mut Conn, token: usize, poller: &Poller, cfg: &DriveConfig) {
     let Some(mut pos) = conn.wpos else { return };
     while pos < cfg.request.len() {
         match conn.stream.write(&cfg.request[pos..]) {
@@ -358,9 +366,9 @@ fn parse_response(buf: &[u8]) -> Option<(u16, usize, usize)> {
     Some((status, head_end, content_length))
 }
 
-fn rearm(conn: &mut Conn, token: usize, want: Interest, poller: &mut Poller) {
-    if conn.interest != want && poller.rearm(conn.stream.as_raw_fd(), want, token).is_ok() {
-        conn.interest = want;
+fn rearm(conn: &mut Conn, token: usize, want: Interest, poller: &Poller) {
+    if conn.interest != Some(want) && poller.rearm(conn.stream.as_raw_fd(), want, token).is_ok() {
+        conn.interest = Some(want);
     }
 }
 
@@ -370,7 +378,7 @@ fn kill(
     conn: &mut Conn,
     token: usize,
     idle: &mut Vec<usize>,
-    poller: &mut Poller,
+    poller: &Poller,
     report: &mut DriveReport,
     resolved: &mut usize,
 ) {

@@ -25,10 +25,9 @@ USAGE:
                     (without --target the questions are asked on stdin)
   questpro diagnose --ontology FILE --examples FILE
   questpro serve    [--port N | --addr HOST:PORT] [--workers N] [--queue N]
-                    [--event-loops N] [--max-conns N] [--read-timeout-ms N]
-                    [--threads N|auto] [--max-sessions N] [--idle-secs N]
-                    [--log-file FILE] [--log-level LEVEL] [--slow-ms N]
-                    [--store FILE]
+                    [--max-conns N] [--read-timeout-ms N] [--threads N|auto]
+                    [--max-sessions N] [--idle-secs N] [--log-file FILE]
+                    [--log-level LEVEL] [--slow-ms N] [--store FILE]
                     (HTTP/JSON service; stops on POST /shutdown or terminal EOF;
                     --store preloads a binary snapshot into the registry)
   questpro store    build (--world <erdos|sp2b|bsbm|movies> [--scale N] [--seed N]
@@ -269,11 +268,9 @@ pub struct ServeArgs {
     pub addr: String,
     /// Worker threads serving connections.
     pub workers: usize,
-    /// Bounded backlog of accepted-but-unserved connections.
+    /// Bounded backlog of requests waiting for a busy worker.
     pub queue: usize,
-    /// Event-loop (reactor) threads multiplexing connections.
-    pub event_loops: usize,
-    /// Maximum concurrently open connections across all loops.
+    /// Maximum concurrently open connections.
     pub max_conns: usize,
     /// Socket read timeout, ms; also caps keep-alive idle time.
     pub read_timeout_ms: u64,
@@ -430,7 +427,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     .unwrap_or_else(|| format!("127.0.0.1:{port}")),
                 workers: flags.num("workers", 8)?.max(1) as usize,
                 queue: flags.num("queue", 64)?.max(1) as usize,
-                event_loops: flags.num("event-loops", 1)?.max(1) as usize,
                 max_conns: flags.num("max-conns", 10_240)?.max(1) as usize,
                 read_timeout_ms: flags.num("read-timeout-ms", 5_000)?.max(1),
                 threads: flags.threads("threads")?,
@@ -605,7 +601,6 @@ const KNOWN_FLAGS: &[(&str, &[&str])] = &[
             "addr",
             "workers",
             "queue",
-            "event-loops",
             "max-conns",
             "read-timeout-ms",
             "threads",
@@ -948,7 +943,6 @@ mod tests {
                 assert_eq!(s.addr, "127.0.0.1:9000");
                 assert_eq!(s.workers, 4);
                 assert_eq!(s.queue, 64);
-                assert_eq!(s.event_loops, 1);
                 assert_eq!(s.max_conns, 10_240);
                 assert_eq!(s.read_timeout_ms, 5_000);
             }
@@ -959,13 +953,9 @@ mod tests {
             Command::Serve(s) => assert_eq!(s.addr, "0.0.0.0:80", "--addr wins"),
             other => panic!("wrong command {other:?}"),
         }
-        let cmd = parse(&argv(
-            "serve --event-loops 4 --max-conns 20000 --read-timeout-ms 60000",
-        ))
-        .unwrap();
+        let cmd = parse(&argv("serve --max-conns 20000 --read-timeout-ms 60000")).unwrap();
         match cmd {
             Command::Serve(s) => {
-                assert_eq!(s.event_loops, 4);
                 assert_eq!(s.max_conns, 20_000);
                 assert_eq!(s.read_timeout_ms, 60_000);
             }

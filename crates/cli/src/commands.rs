@@ -936,7 +936,6 @@ pub mod serve {
             addr: args.addr.clone(),
             workers: args.workers,
             queue: args.queue,
-            event_loops: args.event_loops,
             max_conns: args.max_conns,
             read_timeout_ms: args.read_timeout_ms,
             threads: args.threads,
@@ -1002,7 +1001,6 @@ pub mod serve {
                 addr: "127.0.0.1:0".into(),
                 workers: 2,
                 queue: 8,
-                event_loops: 1,
                 max_conns: 64,
                 read_timeout_ms: 5_000,
                 threads: 1,

@@ -7,11 +7,12 @@
 //! * bytes arrive into `rbuf` on readable events; the incremental
 //!   parser ([`crate::http::parse_request`]) carves complete requests
 //!   off its front, leaving pipelined followers in place;
-//! * while a request is **in flight** (dispatched to the worker pool)
-//!   the loop drops read interest — unread bytes stay in the kernel
-//!   socket buffer, which is TCP backpressure for free — and no
-//!   timeout runs, so a legitimately slow inference never kills its
-//!   connection;
+//! * while a request is **in flight** — its handler running, or its
+//!   request waiting for a free worker — the serving thread holds the
+//!   connection and its poller registration stays disarmed: unread
+//!   bytes stay in the kernel socket buffer, which is TCP backpressure
+//!   for free, and no timeout runs, so a legitimately slow inference
+//!   never kills its connection;
 //! * responses serialize into `wbuf` and drain on writable events;
 //!   responses are queued strictly in request order, so pipelining
 //!   cannot reorder.
@@ -27,8 +28,8 @@
 //!   the *first* byte of the request, not the latest one, so trickling
 //!   one header byte per interval cannot hold a connection open. For a
 //!   pipelined tail buffered behind an in-flight request the clock
-//!   re-bases when that request completes — time spent waiting on our
-//!   own worker pool is never charged to the peer;
+//!   re-bases when that request is answered — time spent waiting on our
+//!   own workers is never charged to the peer;
 //! * **write-stall** — the peer stopped draining our response: closed
 //!   silently once the write timeout elapses.
 
@@ -40,8 +41,9 @@ use crate::http::{encode_response, parse_request, ReadError, Request, Response};
 use crate::sys::Interest;
 
 /// Bytes read from the socket per readable event, to bound the time one
-/// connection can monopolize the loop. Level-triggered polling re-reports
-/// any leftover immediately, so fairness costs no correctness.
+/// connection can monopolize its thread. A re-armed registration
+/// re-reports any leftover immediately, so fairness costs no
+/// correctness.
 const READ_BURST: usize = 64 * 1024;
 
 /// Which timeout a [`Conn::deadline`] refers to.
@@ -74,8 +76,6 @@ pub struct Conn {
     wbuf: Vec<u8>,
     /// How much of `wbuf` has already been written.
     wpos: usize,
-    /// A request from this connection is dispatched to the worker pool.
-    pub in_flight: bool,
     /// Close once `wbuf` fully drains.
     pub close_after_write: bool,
     /// The peer's sending side reported EOF.
@@ -98,7 +98,6 @@ impl Conn {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            in_flight: false,
             close_after_write: false,
             peer_closed: false,
             idle_since: now,
@@ -128,6 +127,11 @@ impl Conn {
                     }
                     self.rbuf.extend_from_slice(&chunk[..n]);
                     total += n;
+                    if n < chunk.len() {
+                        // Drained for now; anything that arrives later
+                        // re-reports on the re-armed registration.
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -163,16 +167,15 @@ impl Conn {
         }
     }
 
-    /// Marks the in-flight request complete and re-bases the
-    /// partial-request clock for any buffered follow-up bytes: reads
-    /// are masked off while a request runs, so a pipelined tail could
-    /// not make parse progress no matter how fast the peer sent it.
-    /// Counting that span against the peer would 408 a connection
-    /// whose only sin was waiting on a slow inference; the slow-loris
-    /// guarantee still holds because the re-based clock never refreshes
-    /// on later trickled bytes.
+    /// Re-bases the partial-request clock for any buffered follow-up
+    /// bytes once the in-flight request is answered: nothing reads the
+    /// socket while a request runs, so a pipelined tail could not make
+    /// parse progress no matter how fast the peer sent it. Counting
+    /// that span against the peer would 408 a connection whose only sin
+    /// was waiting on a slow inference; the slow-loris guarantee still
+    /// holds because the re-based clock never refreshes on later
+    /// trickled bytes.
     pub fn complete_in_flight(&mut self, now: Instant) {
-        self.in_flight = false;
         if !self.rbuf.is_empty() {
             self.request_started = Some(now);
         }
@@ -209,7 +212,7 @@ impl Conn {
         self.wbuf.clear();
         self.wpos = 0;
         self.write_started = None;
-        if self.rbuf.is_empty() && !self.in_flight {
+        if self.rbuf.is_empty() {
             self.idle_since = Instant::now();
         }
         Ok(true)
@@ -225,44 +228,40 @@ impl Conn {
         !self.rbuf.is_empty()
     }
 
-    /// Idle: nothing buffered either way and nothing in flight — the
-    /// connection is purely waiting for the peer's next request.
+    /// Idle: nothing buffered either way — the connection is purely
+    /// waiting for the peer's next request.
     pub fn is_idle(&self) -> bool {
-        self.rbuf.is_empty() && !self.has_pending_write() && !self.in_flight
+        self.rbuf.is_empty() && !self.has_pending_write()
     }
 
-    /// The readiness interest this state wants.
-    ///
-    /// Read interest is off while a request is in flight (backpressure);
-    /// write interest is on only while response bytes are pending.
+    /// The readiness interest this state wants: read until the peer
+    /// closes its side, write only while response bytes are pending.
     /// Hang-up/error notifications are delivered regardless.
     pub fn wants(&self) -> Interest {
         Interest {
-            read: !self.in_flight && !self.peer_closed,
+            read: !self.peer_closed,
             write: self.has_pending_write(),
         }
     }
 
-    /// The earliest timeout applicable to the current state, if any.
-    /// In-flight requests have none: a slow inference is bounded by the
-    /// worker pool, not by its connection.
+    /// The earliest timeout applicable to the current state. Only
+    /// connections parked in the poller are scanned: an in-flight
+    /// request has no deadline, since a slow inference is bounded by
+    /// the workers, not by its connection.
     pub fn deadline(
         &self,
         read_timeout: Duration,
         write_timeout: Duration,
-    ) -> Option<(Instant, DeadlineKind)> {
-        if self.in_flight {
-            return None;
-        }
+    ) -> (Instant, DeadlineKind) {
         if let Some(started) = self.write_started {
-            return Some((started + write_timeout, DeadlineKind::WriteStall));
+            return (started + write_timeout, DeadlineKind::WriteStall);
         }
         if let Some(started) = self.request_started {
             if !self.rbuf.is_empty() {
-                return Some((started + read_timeout, DeadlineKind::Partial));
+                return (started + read_timeout, DeadlineKind::Partial);
             }
         }
-        Some((self.idle_since + read_timeout, DeadlineKind::Idle))
+        (self.idle_since + read_timeout, DeadlineKind::Idle)
     }
 }
 
@@ -309,7 +308,7 @@ mod tests {
         let wt = Duration::from_secs(7);
 
         // Fresh connection: idle clock from creation.
-        let (_, kind) = conn.deadline(rt, wt).unwrap();
+        let (_, kind) = conn.deadline(rt, wt);
         assert_eq!(kind, DeadlineKind::Idle);
 
         // Partial bytes: the clock pins to the first byte's arrival.
@@ -319,7 +318,7 @@ mod tests {
         let arrival = Instant::now();
         conn.on_readable(arrival).unwrap();
         assert!(conn.take_request(1024).unwrap().is_none());
-        let (dl, kind) = conn.deadline(rt, wt).unwrap();
+        let (dl, kind) = conn.deadline(rt, wt);
         assert_eq!(kind, DeadlineKind::Partial);
         assert!(dl <= arrival + rt + Duration::from_millis(1));
 
@@ -328,18 +327,13 @@ mod tests {
         client.flush().unwrap();
         std::thread::sleep(Duration::from_millis(50));
         conn.on_readable(Instant::now()).unwrap();
-        let (dl2, kind2) = conn.deadline(rt, wt).unwrap();
+        let (dl2, kind2) = conn.deadline(rt, wt);
         assert_eq!(kind2, DeadlineKind::Partial);
         assert_eq!(dl, dl2, "slow-loris cannot refresh its own deadline");
 
-        // In flight: no deadline at all.
-        conn.in_flight = true;
-        assert!(conn.deadline(rt, wt).is_none());
-        conn.in_flight = false;
-
         // Pending write: write-stall clock.
         conn.queue_response(&Response::text(200, "ok"));
-        let (_, kind) = conn.deadline(rt, wt).unwrap();
+        let (_, kind) = conn.deadline(rt, wt);
         assert_eq!(kind, DeadlineKind::WriteStall);
     }
 
@@ -360,7 +354,6 @@ mod tests {
         let dispatch = Instant::now();
         let req = conn.take_request(1024).unwrap().expect("first request");
         assert_eq!(req.path, "/a");
-        conn.in_flight = true;
 
         // The request runs a while (a slow inference is explicitly
         // supported), then completes: the tail's partial clock must
@@ -369,7 +362,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         let completion = Instant::now();
         conn.complete_in_flight(completion);
-        let (dl, kind) = conn.deadline(rt, wt).unwrap();
+        let (dl, kind) = conn.deadline(rt, wt);
         assert_eq!(kind, DeadlineKind::Partial);
         assert!(
             dl >= completion + rt,
@@ -384,23 +377,21 @@ mod tests {
         conn.on_readable(Instant::now()).unwrap();
         let req = conn.take_request(1024).unwrap().expect("second request");
         assert_eq!(req.path, "/b");
-        conn.in_flight = true;
         conn.complete_in_flight(Instant::now());
-        let (_, kind) = conn.deadline(rt, wt).unwrap();
+        let (_, kind) = conn.deadline(rt, wt);
         assert_eq!(kind, DeadlineKind::Idle, "empty buffer means idle");
     }
 
     #[test]
-    fn interest_tracks_backpressure_and_pending_writes() {
+    fn interest_tracks_pending_writes_and_peer_close() {
         let (_client, server) = pair();
         let mut conn = Conn::new(server, Instant::now());
         assert_eq!(conn.wants(), Interest::READ);
-        conn.in_flight = true;
-        assert_eq!(conn.wants(), Interest::NONE);
         conn.queue_response(&Response::text(200, "ok"));
-        assert_eq!(conn.wants(), Interest::WRITE);
-        conn.in_flight = false;
         assert_eq!(conn.wants(), Interest::BOTH);
+        conn.peer_closed = true;
+        assert_eq!(conn.wants(), Interest::WRITE);
+        conn.peer_closed = false;
         assert!(conn.flush().unwrap(), "a fresh socket drains immediately");
         assert_eq!(conn.wants(), Interest::READ);
         assert!(conn.is_idle());

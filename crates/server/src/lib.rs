@@ -14,10 +14,10 @@
 //!   crate's only `unsafe` lives here, in the raw syscall shims;
 //! * [`conn`] — the per-connection keep-alive state machine driven by
 //!   readiness events;
-//! * [`eventloop`] — the nonblocking accept + readiness loop that owns
-//!   every socket and dispatches CPU-bound work to the pool;
-//! * [`pool`] — a fixed worker pool with a bounded queue (overload
-//!   sheds as `503`, never as unbounded memory);
+//! * [`eventloop`] — the serving threads: workers that read, run and
+//!   answer the requests they take from one shared one-shot poller, and
+//!   a loop thread for timeouts, drain and overflow; a bounded admission
+//!   queue sheds overload as `503`, never as unbounded memory;
 //! * [`registry`] — named ontologies: lazily built benchmark worlds
 //!   plus user-posted triple text;
 //! * [`sessions`] — concurrent [`questpro_feedback::InteractiveSession`]
@@ -38,7 +38,6 @@ pub mod conn;
 pub mod eventloop;
 pub mod http;
 pub mod metrics;
-pub mod pool;
 pub mod registry;
 pub mod router;
 pub mod server;
@@ -46,7 +45,6 @@ pub mod sessions;
 pub mod sys;
 
 pub use http::{Request, Response};
-pub use pool::{PoolFull, ThreadPool};
 pub use registry::Registry;
 pub use router::{route, AppState};
 pub use server::{start, ServerConfig, ServerHandle};

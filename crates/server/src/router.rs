@@ -131,11 +131,12 @@ pub const ROUTES: &[&str] = &[
     "other",
 ];
 
-/// Whether a route is cheap enough to serve directly on the event-loop
-/// thread instead of a worker: constant-time probes, metric/debug
-/// scrapes, and the shutdown flag flip. Everything that can run
-/// inference, materialize an ontology, or parse a client body goes to
-/// the worker pool so the loop never blocks on CPU-bound work.
+/// Whether a route is cheap enough to serve on any thread, including
+/// the loop thread while every worker is busy: constant-time probes,
+/// metric/debug scrapes, and the shutdown flag flip. Everything that can
+/// run inference, materialize an ontology, or parse a client body is
+/// CPU-bound: it passes admission, runs only on a worker, and so never
+/// blocks the loop thread.
 /// Unmatched requests (`"other"`, i.e. 404/405) are inline too — their
 /// cost is one small error envelope.
 pub fn is_inline(label: &str) -> bool {

@@ -1,42 +1,43 @@
 //! Server lifecycle: configuration, startup, graceful shutdown.
 //!
-//! The serving machinery itself lives in [`crate::eventloop`]: one or
-//! more readiness-driven loop threads own every socket, and a fixed
-//! [`ThreadPool`] runs the CPU-bound handlers. This module binds the
-//! listener, builds the shared state, spawns the loops, and exposes the
-//! [`ServerHandle`] that joins them back.
+//! The serving machinery itself lives in [`crate::eventloop`]: worker
+//! threads that each read, run and answer the requests they take from
+//! one shared poller, plus one loop thread for timeouts, overflow and
+//! drain. This module binds the listener, builds the shared state,
+//! starts those threads, and exposes the [`ServerHandle`] that joins
+//! them back.
 //!
 //! Shutdown is cooperative — there is no signal handling in a
 //! zero-dependency workspace — via [`ServerHandle::shutdown`] or
-//! `POST /shutdown`: the flag flips, loop 0 stops accepting, idle
-//! connections close immediately, in-flight requests finish and flush
-//! under a drain deadline, and the worker pool drains last.
+//! `POST /shutdown`: the flag flips, the loop thread stops accepting,
+//! idle connections close immediately, in-flight requests (running or
+//! queued for a worker) finish and flush under a drain deadline, and the
+//! workers exit last.
 
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use questpro_log::Level;
 
-use crate::eventloop::{self, LoopConfig, Mailbox};
+use crate::eventloop::{Core, LoopConfig};
 use crate::http::{Request, Response};
 use crate::metrics::record_route;
-use crate::pool::ThreadPool;
 use crate::router::{route, route_label, AppState};
-use crate::sys::{self, Poller};
+use crate::sys;
 
 /// Everything tunable about a server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7474` (`:0` for an ephemeral port).
     pub addr: String,
-    /// Worker threads serving connections.
+    /// Worker threads: each serves the connections it takes, and at
+    /// most this many CPU-bound handlers run at once.
     pub workers: usize,
-    /// Bounded backlog of accepted-but-unserved connections; beyond it
-    /// the acceptor sheds load with `503`.
+    /// Bounded backlog of CPU-bound requests waiting for a busy worker;
+    /// beyond it requests shed with `503`.
     pub queue: usize,
     /// Cap on request bodies, bytes.
     pub max_body: usize,
@@ -81,15 +82,8 @@ pub struct ServerConfig {
     /// registered under its file stem. A snapshot cold-load is
     /// milliseconds even at 10⁶–10⁷ triples, so startup stays fast.
     pub stores: Vec<String>,
-    /// Event-loop threads. Loop 0 owns the listener and deals accepted
-    /// sockets round-robin; each connection lives on one loop for its
-    /// whole life. One loop drives 10k+ mostly-idle connections; add
-    /// loops when parse/serialize itself saturates a core.
-    pub event_loops: usize,
-    /// Maximum concurrently open connections across all loops; accepts
-    /// beyond it shed with `503`. Each loop enforces an even share
-    /// (`ceil(max_conns / event_loops)`), which round-robin dealing
-    /// keeps balanced.
+    /// Maximum concurrently open connections; accepts beyond it shed
+    /// with `503`.
     pub max_conns: usize,
     /// How long shutdown waits for in-flight exchanges before
     /// force-closing, ms.
@@ -117,7 +111,6 @@ impl Default for ServerConfig {
             log_file: None,
             slow_query_ms: 500,
             stores: Vec::new(),
-            event_loops: 1,
             max_conns: 10_240,
             drain_ms: 5_000,
         }
@@ -125,13 +118,11 @@ impl Default for ServerConfig {
 }
 
 /// A running server; dropping it without [`ServerHandle::join`] leaves
-/// the loop threads running detached until shutdown is requested.
+/// the serving threads running detached until shutdown is requested.
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<AppState>,
-    loops: Vec<thread::JoinHandle<()>>,
-    mailboxes: Vec<Mailbox>,
-    pool: Option<Arc<ThreadPool>>,
+    core: Core,
 }
 
 impl ServerHandle {
@@ -151,33 +142,22 @@ impl ServerHandle {
         self.state.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Requests graceful shutdown without waiting for it, ringing every
-    /// loop's waker so parked loops start their drain immediately.
+    /// Requests graceful shutdown without waiting for it, waking the
+    /// loop thread so it starts the drain immediately.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
-        for m in &self.mailboxes {
-            m.waker().wake();
-        }
+        self.core.wake();
     }
 
-    /// Requests shutdown and waits for the loops (and then the worker
-    /// pool) to drain.
-    pub fn join(mut self) {
+    /// Requests shutdown and waits for the drain and the serving
+    /// threads.
+    pub fn join(self) {
         self.shutdown();
-        for h in self.loops.drain(..) {
-            let _ = h.join();
-        }
-        // Every loop has exited, so this handle owns the last Arc; fall
-        // back to Drop's join if a race says otherwise.
-        if let Some(pool) = self.pool.take() {
-            if let Ok(pool) = Arc::try_unwrap(pool) {
-                pool.join();
-            }
-        }
+        self.core.join();
     }
 }
 
-/// Binds, spawns the acceptor and worker pool, and returns immediately.
+/// Binds, starts the serving threads, and returns immediately.
 ///
 /// # Errors
 /// Propagates the bind failure.
@@ -221,7 +201,7 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     );
     state.slow_query_ns = cfg.slow_query_ms.saturating_mul(1_000_000);
     let state = Arc::new(state);
-    // Preload snapshots before the acceptor spawns: a client that
+    // Preload snapshots before serving starts: a client that
     // connects right after bind must already see the worlds.
     for path in &cfg.stores {
         let bytes = std::fs::read(path)?;
@@ -233,63 +213,43 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
             std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{path}: {e}"))
         })?;
     }
-    let loops = cfg.event_loops.max(1);
-    let pool = Arc::new(ThreadPool::new(cfg.workers, cfg.queue));
-    let loop_cfg = LoopConfig {
-        max_body: cfg.max_body,
-        read_timeout: Duration::from_millis(cfg.read_timeout_ms.max(1)),
-        write_timeout: Duration::from_millis(cfg.write_timeout_ms.max(1)),
-        drain: Duration::from_millis(cfg.drain_ms),
-        // The configured cap is global; each loop enforces its even
-        // share so `--event-loops N` does not multiply the limit.
-        max_conns: cfg.max_conns.max(1).div_ceil(loops),
-        workers: cfg.workers,
-        queue: cfg.queue,
-    };
-    let mailboxes: Vec<Mailbox> = (0..loops)
-        .map(|_| Mailbox::new())
-        .collect::<std::io::Result<_>>()?;
-    let mut handles = Vec::with_capacity(loops);
-    let mut listener = Some(listener);
-    for i in 0..loops {
-        // Creating the poller here (not inside the thread) surfaces fd
-        // exhaustion as a start() error instead of a dead loop.
-        let poller = Poller::new(loop_cfg.max_conns)?;
-        let listener = if i == 0 { listener.take() } else { None };
-        let state = Arc::clone(&state);
-        let pool = Arc::clone(&pool);
-        let loop_cfg = loop_cfg.clone();
-        let mailboxes = mailboxes.clone();
-        handles.push(
-            thread::Builder::new()
-                .name(format!("questpro-loop-{i}"))
-                .spawn(move || {
-                    eventloop::run(poller, listener, &state, &pool, &loop_cfg, i, &mailboxes);
-                })?,
-        );
-    }
-    Ok(ServerHandle {
-        addr,
-        state,
-        loops: handles,
-        mailboxes,
-        pool: Some(pool),
-    })
+    let core = Core::start(
+        listener,
+        Arc::clone(&state),
+        LoopConfig {
+            max_body: cfg.max_body,
+            read_timeout: Duration::from_millis(cfg.read_timeout_ms.max(1)),
+            write_timeout: Duration::from_millis(cfg.write_timeout_ms.max(1)),
+            drain: Duration::from_millis(cfg.drain_ms),
+            max_conns: cfg.max_conns.max(1),
+            workers: cfg.workers,
+            queue: cfg.queue,
+        },
+    )?;
+    Ok(ServerHandle { addr, state, core })
 }
 
 /// Routes one parsed request with tracing, per-route latency metrics,
-/// and the access/slow-query logs. Runs on a worker thread for
-/// CPU-bound routes, on the loop thread for inline ones.
+/// and the access/slow-query logs. Runs on the thread that read the
+/// request: a worker, or the loop thread for an inline route while
+/// every worker is busy.
 pub(crate) fn serve_request(state: &Arc<AppState>, req: &Request) -> Response {
     state.http.record_request();
     let started = Instant::now();
     let label = route_label(&req.method, &req.path);
-    // One trace per request, on the worker thread serving it; the
-    // guard publishes even when the handler panics.
+    // One trace per request, on the thread serving it; the guard
+    // publishes even when the handler panics.
     let trace = questpro_trace::begin(format!("{} {}", req.method, req.path));
     let trace_id = trace.as_ref().map(questpro_trace::ActiveTrace::id);
     // A panicking handler must cost exactly one response.
-    let mut resp = catch_unwind(AssertUnwindSafe(|| route(state, req))).unwrap_or_else(|_| {
+    let mut resp = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        if req.header("x-test-panic").is_some() {
+            panic!("handler panic requested by a unit test");
+        }
+        route(state, req)
+    }))
+    .unwrap_or_else(|_| {
         // The flight recorder already dumped context to stderr from
         // inside the panic hook; leave one correlatable event too.
         questpro_log::emit_traced(
@@ -460,6 +420,41 @@ mod tests {
             TcpStream::connect(addr).is_err() || get_after_shutdown(addr),
             "server must stop serving after join()"
         );
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_only_its_own_request() {
+        // One worker: if the panic killed it, nothing CPU-bound would be
+        // answered afterwards.
+        let handle = start(&ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue: 4,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // A panicking CPU-bound request pipelined ahead of a sound one
+        // on the same connection.
+        write!(
+            s,
+            "GET /ontologies HTTP/1.1\r\nHost: t\r\nX-Test-Panic: 1\r\n\r\n\
+             GET /ontologies HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
+        let mut answers = String::new();
+        s.read_to_string(&mut answers).unwrap();
+        let statuses: Vec<&str> = answers
+            .match_indices("HTTP/1.1 ")
+            .map(|(i, _)| &answers[i + 9..i + 12])
+            .collect();
+        assert_eq!(statuses, ["500", "200"], "{answers}");
+        // The worker that caught the panic keeps serving.
+        for _ in 0..3 {
+            assert_eq!(get(handle.addr(), "/ontologies").0, 200);
+        }
+        handle.join();
     }
 
     fn get_after_shutdown(addr: SocketAddr) -> bool {

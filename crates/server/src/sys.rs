@@ -3,15 +3,19 @@
 //!
 //! The workspace forbids external crates, and `std` exposes no
 //! readiness API, so this module declares the handful of libc symbols
-//! the event loop needs — `epoll_create1`/`epoll_ctl`/`epoll_wait` and
-//! `eventfd` on Linux, `poll` and `pipe` elsewhere on Unix — and wraps
-//! them in safe, owned types:
+//! the server needs — `epoll_create1`/`epoll_ctl`/`epoll_wait` and
+//! `eventfd` on Linux, `poll` elsewhere on Unix — and wraps them in
+//! safe, owned types:
 //!
 //! * [`Poller`] — add/rearm/remove interest in a file descriptor and
-//!   wait for readiness events, each tagged with the caller's token;
+//!   wait for readiness events, each tagged with the caller's token.
+//!   Every registration is **one-shot**: once an fd's event has been
+//!   reported, the fd reports nothing more until it is re-armed. Many
+//!   threads may wait on one poller, and each event goes to exactly one
+//!   of them, so the thread that takes an fd's event owns that fd until
+//!   it re-arms it;
 //! * [`Waker`] — a thread-safe doorbell another thread can ring to pull
-//!   a blocked [`Poller::wait`] back to userspace (completion queues,
-//!   shutdown).
+//!   a waiter out of [`Poller::wait`] (queued requests, shutdown).
 //!
 //! This is the **only** module in the workspace allowed to use
 //! `unsafe`. The audit surface is deliberately tiny: every unsafe block
@@ -63,16 +67,11 @@ impl Interest {
         read: true,
         write: true,
     };
-    /// No readiness — hang-up/error only (epoll always reports those).
-    pub const NONE: Interest = Interest {
-        read: false,
-        write: false,
-    };
 }
 
 #[cfg(target_os = "linux")]
 mod backend {
-    //! Linux: epoll, level-triggered.
+    //! Linux: epoll with `EPOLLONESHOT` registrations.
 
     use super::{Event, Interest};
     use std::io;
@@ -86,15 +85,16 @@ mod backend {
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
+    const EPOLLONESHOT: u32 = 1 << 30;
     const EPOLL_CLOEXEC: i32 = 0o2000000;
 
     /// Mirrors `struct epoll_event`, whose layout is per-architecture:
     /// the kernel (and glibc, via `__EPOLL_PACKED`) packs it **only on
     /// x86-64** (12 bytes, `data` at offset 4); everywhere else it has
     /// natural alignment (16 bytes, `data` at offset 8). Matching the
-    /// ABI exactly matters: `epoll_wait` writes `n` kernel-sized
-    /// entries into our buffer, so a mismatched size would overflow it,
-    /// and `epoll_ctl` would read the token from the wrong offset.
+    /// ABI exactly matters: `epoll_wait` writes kernel-sized entries
+    /// into our buffer, so a mismatched size would overflow it, and
+    /// `epoll_ctl` would read the token from the wrong offset.
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
     #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
@@ -119,28 +119,26 @@ mod backend {
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
-    /// The epoll instance plus its scratch event buffer.
+    /// The epoll instance. Every call is a single syscall on `epfd`,
+    /// which the kernel serializes, so any number of threads may share
+    /// it.
     pub struct Poller {
         epfd: RawFd,
-        scratch: Vec<EpollEvent>,
     }
 
     impl Poller {
-        pub fn new(capacity: usize) -> io::Result<Poller> {
+        pub fn new() -> io::Result<Poller> {
             // SAFETY: no pointers; the returned fd is validated below.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            Ok(Poller {
-                epfd,
-                scratch: vec![EpollEvent { events: 0, data: 0 }; capacity.clamp(64, 4096)],
-            })
+            Ok(Poller { epfd })
         }
 
-        fn ctl(&self, op: i32, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
+        fn ctl(&self, op: i32, fd: RawFd, events: u32, token: usize) -> io::Result<()> {
             let mut ev = EpollEvent {
-                events: mask(interest),
+                events,
                 data: token as u64,
             };
             // SAFETY: `ev` is a live stack value for the duration of
@@ -153,29 +151,23 @@ mod backend {
         }
 
         pub fn add(&self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, interest, token)
+            self.ctl(EPOLL_CTL_ADD, fd, mask(interest), token)
         }
 
         pub fn rearm(&self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, interest, token)
+            self.ctl(EPOLL_CTL_MOD, fd, mask(interest), token)
         }
 
         pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, Interest::NONE, 0)
+            self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
         }
 
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
-            // SAFETY: the scratch buffer is owned, non-empty, and its
-            // length bounds `maxevents`; the kernel writes at most that
-            // many entries before returning the count.
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.scratch.as_mut_ptr(),
-                    self.scratch.len() as i32,
-                    timeout_ms,
-                )
-            };
+        pub fn wait(&self, timeout_ms: i32, max: usize, out: &mut Vec<Event>) -> io::Result<()> {
+            let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
+            let max = max.clamp(1, buf.len());
+            // SAFETY: `buf` is owned and live, and `maxevents` is at
+            // most its length, so the kernel writes only inside it.
+            let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), max as i32, timeout_ms) };
             if n < 0 {
                 let err = io::Error::last_os_error();
                 if err.kind() == io::ErrorKind::Interrupted {
@@ -183,7 +175,7 @@ mod backend {
                 }
                 return Err(err);
             }
-            for ev in &self.scratch[..n as usize] {
+            for ev in &buf[..n as usize] {
                 let events = ev.events;
                 out.push(Event {
                     token: ev.data as usize,
@@ -204,11 +196,8 @@ mod backend {
     }
 
     fn mask(interest: Interest) -> u32 {
-        let mut m = 0;
+        let mut m = EPOLLONESHOT;
         if interest.read {
-            // RDHUP rides with read interest only: with it always armed,
-            // a half-closed peer would level-trigger forever on a
-            // connection whose reads are paused (request in flight).
             m |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.write {
@@ -264,19 +253,28 @@ mod backend {
 
 #[cfg(all(unix, not(target_os = "linux")))]
 mod backend {
-    //! Portable Unix fallback: `poll(2)` plus a self-pipe doorbell.
+    //! Portable Unix fallback: `poll(2)`, with one-shot emulated in
+    //! userspace and waiters served one at a time.
     //!
     //! O(n) per wait, which is fine for development on non-Linux hosts;
     //! production deployments target the epoll backend.
 
     use super::{Event, Interest};
-    use std::io;
-    use std::os::unix::io::RawFd;
+    use std::io::{self, Read, Write};
+    use std::os::unix::io::{AsRawFd, RawFd};
+    use std::os::unix::net::UnixStream;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+    use std::time::{Duration, Instant};
 
     const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -287,144 +285,164 @@ mod backend {
     }
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-        fn pipe(fds: *mut i32) -> i32;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-        fn close(fd: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    }
+
+    /// One registration; `armed` goes false once its event is reported.
+    struct Entry {
+        fd: RawFd,
+        interest: Interest,
+        token: usize,
+        armed: bool,
     }
 
     /// Registration table polled on every wait.
     pub struct Poller {
-        entries: Vec<(RawFd, Interest, usize)>,
+        entries: Mutex<Vec<Entry>>,
+        /// Serializes waiters, so no event is reported twice.
+        waiter: Mutex<()>,
+        /// Rung on every registration change, so a waiter blocked in
+        /// `poll` picks up fds armed after it started waiting.
+        changed: WakeFd,
+    }
+
+    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     impl Poller {
-        pub fn new(_capacity: usize) -> io::Result<Poller> {
+        pub fn new() -> io::Result<Poller> {
             Ok(Poller {
-                entries: Vec::new(),
+                entries: Mutex::new(Vec::new()),
+                waiter: Mutex::new(()),
+                changed: WakeFd::new()?,
             })
         }
 
-        pub fn add(&mut self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
-            self.entries.push((fd, interest, token));
+        pub fn add(&self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
+            lock(&self.entries).push(Entry {
+                fd,
+                interest,
+                token,
+                armed: true,
+            });
+            self.changed.wake();
             Ok(())
         }
 
-        pub fn rearm(&mut self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
-            match self.entries.iter_mut().find(|(f, _, _)| *f == fd) {
-                Some(e) => {
-                    *e = (fd, interest, token);
-                    Ok(())
-                }
-                None => Err(io::ErrorKind::NotFound.into()),
-            }
-        }
-
-        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            self.entries.retain(|(f, _, _)| *f != fd);
+        pub fn rearm(&self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
+            let mut entries = lock(&self.entries);
+            let e = entries
+                .iter_mut()
+                .find(|e| e.fd == fd)
+                .ok_or(io::ErrorKind::NotFound)?;
+            *e = Entry {
+                fd,
+                interest,
+                token,
+                armed: true,
+            };
+            drop(entries);
+            self.changed.wake();
             Ok(())
         }
 
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
-            let mut fds: Vec<PollFd> = self
-                .entries
-                .iter()
-                .map(|&(fd, interest, _)| PollFd {
-                    fd,
-                    events: {
-                        let mut e = 0i16;
-                        if interest.read {
-                            e |= POLLIN;
-                        }
-                        if interest.write {
-                            e |= POLLOUT;
-                        }
-                        e
-                    },
+        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
+            lock(&self.entries).retain(|e| e.fd != fd);
+            Ok(())
+        }
+
+        pub fn wait(&self, timeout_ms: i32, max: usize, out: &mut Vec<Event>) -> io::Result<()> {
+            let _turn = lock(&self.waiter);
+            let deadline = Instant::now() + Duration::from_millis(timeout_ms.max(0) as u64);
+            loop {
+                let mut fds = vec![PollFd {
+                    fd: self.changed.raw_fd(),
+                    events: POLLIN,
                     revents: 0,
-                })
-                .collect();
-            // SAFETY: the vector is owned and its length bounds nfds.
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
+                }];
+                fds.extend(lock(&self.entries).iter().filter(|e| e.armed).map(|e| {
+                    let mut events = 0i16;
+                    if e.interest.read {
+                        events |= POLLIN;
+                    }
+                    if e.interest.write {
+                        events |= POLLOUT;
+                    }
+                    PollFd {
+                        fd: e.fd,
+                        events,
+                        revents: 0,
+                    }
+                }));
+                let left = deadline.saturating_duration_since(Instant::now());
+                let left_ms = i32::try_from(left.as_millis()).unwrap_or(i32::MAX);
+                // SAFETY: the vector is owned and its length bounds nfds.
+                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, left_ms) };
+                if n < 0 {
+                    let err = io::Error::last_os_error();
+                    if err.kind() == io::ErrorKind::Interrupted {
+                        return Ok(());
+                    }
+                    return Err(err);
+                }
+                if fds[0].revents != 0 {
+                    self.changed.drain();
+                }
+                let mut entries = lock(&self.entries);
+                let mut taken = 0;
+                for pfd in fds[1..].iter().filter(|p| p.revents != 0) {
+                    // The fd may have been removed or re-registered
+                    // while this waiter was in poll; report only a
+                    // registration that is still armed.
+                    if let Some(e) = entries.iter_mut().find(|e| e.fd == pfd.fd && e.armed) {
+                        e.armed = false;
+                        out.push(Event {
+                            token: e.token,
+                            readable: pfd.revents & (POLLIN | POLLHUP) != 0,
+                            writable: pfd.revents & POLLOUT != 0,
+                            error: pfd.revents & (POLLERR | POLLHUP) != 0,
+                        });
+                        taken += 1;
+                        if taken == max.max(1) {
+                            break;
+                        }
+                    }
+                }
+                if taken > 0 || Instant::now() >= deadline {
                     return Ok(());
                 }
-                return Err(err);
             }
-            for (pfd, &(_, _, token)) in fds.iter().zip(&self.entries) {
-                if pfd.revents != 0 {
-                    out.push(Event {
-                        token,
-                        readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                        writable: pfd.revents & POLLOUT != 0,
-                        error: pfd.revents & (POLLERR | POLLHUP) != 0,
-                    });
-                }
-            }
-            Ok(())
         }
     }
 
-    /// A self-pipe doorbell.
+    /// A socket-pair doorbell.
     pub struct WakeFd {
-        read_fd: RawFd,
-        write_fd: RawFd,
+        rx: UnixStream,
+        tx: UnixStream,
     }
 
     impl WakeFd {
         pub fn new() -> io::Result<WakeFd> {
-            const F_SETFL: i32 = 4;
-            const O_NONBLOCK: i32 = 0o4000;
-            let mut fds = [0i32; 2];
-            // SAFETY: pipe writes two fds into an owned array.
-            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // SAFETY: plain-integer fcntl on fds we just created.
-            unsafe {
-                fcntl(fds[0], F_SETFL, O_NONBLOCK);
-                fcntl(fds[1], F_SETFL, O_NONBLOCK);
-            }
-            Ok(WakeFd {
-                read_fd: fds[0],
-                write_fd: fds[1],
-            })
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            Ok(WakeFd { rx, tx })
         }
 
         pub fn raw_fd(&self) -> RawFd {
-            self.read_fd
+            self.rx.as_raw_fd()
         }
 
         pub fn wake(&self) {
-            let one = [1u8];
-            // SAFETY: writes one owned byte; EAGAIN (pipe full) still
-            // leaves the read end readable.
-            let _ = unsafe { write(self.write_fd, one.as_ptr(), 1) };
+            // A full buffer (WouldBlock) still leaves the read end
+            // readable, which is all a wake needs.
+            let _ = (&self.tx).write(&[1]);
         }
 
         pub fn drain(&self) {
             let mut buf = [0u8; 64];
-            loop {
-                // SAFETY: reads into an owned buffer on a nonblocking fd.
-                let n = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-                if n <= 0 {
-                    break;
-                }
-            }
-        }
-    }
-
-    impl Drop for WakeFd {
-        fn drop(&mut self) {
-            // SAFETY: closing fds we own exactly once.
-            unsafe {
-                close(self.read_fd);
-                close(self.write_fd);
-            }
+            while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
         }
     }
 }
@@ -441,29 +459,30 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// A poller sized for roughly `capacity` registered descriptors.
+    /// A fresh poller with no registrations.
     ///
     /// # Errors
     /// Propagates the backend creation failure (fd exhaustion).
-    pub fn new(capacity: usize) -> io::Result<Poller> {
+    pub fn new() -> io::Result<Poller> {
         Ok(Poller {
-            inner: backend::Poller::new(capacity)?,
+            inner: backend::Poller::new()?,
         })
     }
 
-    /// Registers `fd` with `interest` under `token`.
+    /// Registers `fd` with one-shot `interest` under `token`.
     ///
     /// # Errors
     /// Propagates the backend registration failure.
-    pub fn add(&mut self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
+    pub fn add(&self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
         self.inner.add(fd, interest, token)
     }
 
-    /// Changes the interest (and token) of an already-registered `fd`.
+    /// Re-arms an already-registered `fd` with one-shot `interest` (and
+    /// token); until then the fd reports nothing after its last event.
     ///
     /// # Errors
     /// Propagates the backend failure (unknown fd).
-    pub fn rearm(&mut self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
+    pub fn rearm(&self, fd: RawFd, interest: Interest, token: usize) -> io::Result<()> {
         self.inner.rearm(fd, interest, token)
     }
 
@@ -471,18 +490,18 @@ impl Poller {
     ///
     /// # Errors
     /// Propagates the backend failure (unknown fd).
-    pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
+    pub fn remove(&self, fd: RawFd) -> io::Result<()> {
         self.inner.remove(fd)
     }
 
-    /// Waits up to `timeout_ms` (`-1` = forever) and appends readiness
-    /// events to `out`. Spurious wake-ups (EINTR) return cleanly with
-    /// no events.
+    /// Waits up to `timeout_ms` and appends at most `max` readiness
+    /// events to `out`, disarming each reported fd. A timeout or an
+    /// interrupted wait (EINTR) returns cleanly with no events.
     ///
     /// # Errors
     /// Propagates a non-EINTR backend failure.
-    pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
-        self.inner.wait(timeout_ms, out)
+    pub fn wait(&self, timeout_ms: i32, max: usize, out: &mut Vec<Event>) -> io::Result<()> {
+        self.inner.wait(timeout_ms, max, out)
     }
 }
 
@@ -554,77 +573,118 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
-    #[test]
-    fn poller_reports_readable_after_bytes_arrive() {
+    /// Waits up to `ms` for one event.
+    fn wait_one(poller: &Poller, ms: i32) -> Option<Event> {
+        let mut out = Vec::new();
+        poller.wait(ms, 1, &mut out).unwrap();
+        assert!(out.len() <= 1, "{out:?}");
+        out.pop()
+    }
+
+    /// Waits up to five seconds for the next event.
+    fn next_event(poller: &Poller) -> Option<Event> {
+        (0..100).find_map(|_| wait_one(poller, 50))
+    }
+
+    fn socket_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
+        (client, server_side)
+    }
 
-        let mut poller = Poller::new(8).unwrap();
+    #[test]
+    fn poller_reports_readable_after_bytes_arrive() {
+        let (mut client, mut server_side) = socket_pair();
+        let poller = Poller::new().unwrap();
         poller
             .add(server_side.as_raw_fd(), Interest::READ, 7)
             .unwrap();
-
-        let mut events = Vec::new();
-        poller.wait(0, &mut events).unwrap();
-        assert!(
-            events.iter().all(|e| !e.readable),
-            "no bytes yet: {events:?}"
-        );
+        assert!(wait_one(&poller, 0).is_none(), "no bytes yet");
 
         client.write_all(b"ping").unwrap();
         client.flush().unwrap();
-        let mut events = Vec::new();
-        for _ in 0..100 {
-            poller.wait(50, &mut events).unwrap();
-            if !events.is_empty() {
-                break;
-            }
-        }
-        assert!(
-            events.iter().any(|e| e.token == 7 && e.readable),
-            "{events:?}"
-        );
+        let ev = next_event(&poller).expect("readable after bytes arrive");
+        assert!(ev.token == 7 && ev.readable, "{ev:?}");
 
-        let mut sock = server_side;
         let mut buf = [0u8; 16];
-        assert_eq!(sock.read(&mut buf).unwrap(), 4);
+        assert_eq!(server_side.read(&mut buf).unwrap(), 4);
+    }
+
+    #[test]
+    fn one_shot_reports_once_until_rearmed() {
+        let (mut client, server_side) = socket_pair();
+        let poller = Poller::new().unwrap();
+        let fd = server_side.as_raw_fd();
+        poller.add(fd, Interest::READ, 5).unwrap();
+        client.write_all(b"unread").unwrap();
+        client.flush().unwrap();
+        assert_eq!(next_event(&poller).map(|e| e.token), Some(5));
+
+        // The bytes are still unread, yet the fd stays silent: whoever
+        // took the event owns the fd until it re-arms it.
+        assert!(
+            wait_one(&poller, 100).is_none(),
+            "disarmed after one report"
+        );
+        poller.rearm(fd, Interest::READ, 6).unwrap();
+        let ev = next_event(&poller).expect("re-armed fd reports again");
+        assert!(ev.token == 6 && ev.readable, "{ev:?}");
+    }
+
+    #[test]
+    fn each_event_goes_to_exactly_one_waiter() {
+        let (mut client, server_side) = socket_pair();
+        let poller = std::sync::Arc::new(Poller::new().unwrap());
+        poller
+            .add(server_side.as_raw_fd(), Interest::READ, 9)
+            .unwrap();
+        let start = std::sync::Arc::new(std::sync::Barrier::new(5));
+        let waiters: Vec<_> = (0..4)
+            .map(|_| {
+                let poller = std::sync::Arc::clone(&poller);
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    wait_one(&poller, 500).is_some()
+                })
+            })
+            .collect();
+        start.wait();
+        client.write_all(b"x").unwrap();
+        client.flush().unwrap();
+        let woken = waiters
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .filter(|&got| got)
+            .count();
+        assert_eq!(woken, 1, "one readiness event, one taker");
     }
 
     #[test]
     fn waker_pulls_wait_back_and_drains() {
-        let mut poller = Poller::new(8).unwrap();
+        let poller = Poller::new().unwrap();
         let waker = Waker::new().unwrap();
         poller.add(waker.raw_fd(), Interest::READ, 42).unwrap();
 
         // Without a wake, a zero-timeout wait sees nothing.
-        let mut events = Vec::new();
-        poller.wait(0, &mut events).unwrap();
-        assert!(events.is_empty(), "{events:?}");
+        assert!(wait_one(&poller, 0).is_none());
 
         // A wake from another thread makes the fd readable.
         let w2 = waker.clone();
         let t = std::thread::spawn(move || w2.wake());
-        let mut events = Vec::new();
-        for _ in 0..100 {
-            poller.wait(50, &mut events).unwrap();
-            if !events.is_empty() {
-                break;
-            }
-        }
+        let ev = next_event(&poller).expect("the wake is reported");
         t.join().unwrap();
-        assert!(
-            events.iter().any(|e| e.token == 42 && e.readable),
-            "{events:?}"
-        );
+        assert!(ev.token == 42 && ev.readable, "{ev:?}");
 
-        // Draining clears it.
+        // Draining clears it: re-armed, it stays quiet.
         waker.drain();
-        let mut events = Vec::new();
-        poller.wait(0, &mut events).unwrap();
-        assert!(events.is_empty(), "drained waker must go quiet");
+        poller.rearm(waker.raw_fd(), Interest::READ, 42).unwrap();
+        assert!(
+            wait_one(&poller, 0).is_none(),
+            "drained waker must go quiet"
+        );
     }
 
     #[test]
@@ -643,34 +703,15 @@ mod tests {
 
     #[test]
     fn write_interest_fires_on_a_fresh_socket() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        server_side.set_nonblocking(true).unwrap();
-
-        let mut poller = Poller::new(8).unwrap();
-        poller
-            .add(server_side.as_raw_fd(), Interest::BOTH, 3)
-            .unwrap();
-        let mut events = Vec::new();
-        for _ in 0..100 {
-            poller.wait(50, &mut events).unwrap();
-            if events.iter().any(|e| e.writable) {
-                break;
-            }
-        }
-        assert!(
-            events.iter().any(|e| e.token == 3 && e.writable),
-            "an empty send buffer is writable: {events:?}"
-        );
+        let (_client, server_side) = socket_pair();
+        let poller = Poller::new().unwrap();
+        let fd = server_side.as_raw_fd();
+        poller.add(fd, Interest::BOTH, 3).unwrap();
+        let ev = next_event(&poller).expect("an empty send buffer is writable");
+        assert!(ev.token == 3 && ev.writable, "{ev:?}");
         // Rearm to read-only and the writable report stops.
-        poller
-            .rearm(server_side.as_raw_fd(), Interest::READ, 3)
-            .unwrap();
-        let mut events = Vec::new();
-        poller.wait(0, &mut events).unwrap();
-        assert!(events.iter().all(|e| !e.writable), "{events:?}");
-        poller.remove(server_side.as_raw_fd()).unwrap();
+        poller.rearm(fd, Interest::READ, 3).unwrap();
+        assert!(wait_one(&poller, 0).is_none());
+        poller.remove(fd).unwrap();
     }
 }

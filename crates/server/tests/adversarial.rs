@@ -375,8 +375,8 @@ fn connection_cap_sheds_with_503_and_recovers() {
     server.join();
 }
 
-/// Gate for the multi-loop battery: with a single host CPU two event
-/// loops never actually interleave, so the tests below would pass
+/// Gate for the two-worker battery: with a single host CPU two workers
+/// never actually interleave, so the tests below would pass
 /// vacuously. Report the skip honestly (the same policy as bench.sh's
 /// monotone-speedup assert) instead of pretending coverage.
 fn host_has_two_cpus() -> bool {
@@ -385,8 +385,8 @@ fn host_has_two_cpus() -> bool {
         .unwrap_or(1);
     if cpus < 2 {
         eprintln!(
-            "skip — the two-event-loop battery needs >1 CPU (host has {cpus}); \
-             rerun on a multi-core host for real multi-loop coverage"
+            "skip — the two-worker battery needs >1 CPU (host has {cpus}); \
+             rerun on a multi-core host for real multi-worker coverage"
         );
         return false;
     }
@@ -394,7 +394,7 @@ fn host_has_two_cpus() -> bool {
 }
 
 #[test]
-fn pipelined_requests_answer_in_order_on_two_event_loops() {
+fn pipelined_requests_answer_in_order_on_two_workers() {
     if !host_has_two_cpus() {
         return;
     }
@@ -402,17 +402,17 @@ fn pipelined_requests_answer_in_order_on_two_event_loops() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue: 16,
-        event_loops: 2,
         read_timeout_ms: 10_000,
         ..ServerConfig::default()
     })
     .expect("binding an ephemeral port");
     let addr = server.addr();
 
-    // Four concurrent connections: round-robin dealing spreads them
-    // across both loops, so ordering is exercised on each loop while
-    // the other is busy. Each connection fires a ten-deep pipeline in
-    // one write and must get its responses back strictly in order.
+    // Four concurrent connections on two workers, so ordering is
+    // exercised on each worker while the other is busy and requests
+    // queue behind both. Each connection fires a ten-deep pipeline of
+    // inline and CPU-bound routes in one write and must get its
+    // responses back strictly in order.
     let handles: Vec<_> = (0..4)
         .map(|conn| {
             std::thread::spawn(move || {
@@ -456,19 +456,17 @@ fn pipelined_requests_answer_in_order_on_two_event_loops() {
 }
 
 #[test]
-fn connection_cap_sheds_with_503_on_two_event_loops() {
+fn connection_cap_sheds_with_503_on_two_workers() {
     if !host_has_two_cpus() {
         return;
     }
-    // With two loops the global cap is dealt per loop
-    // (ceil(8 / 2) = 4 each), so the shed must trigger no matter which
-    // loop the surplus connection lands on.
+    // The cap is global: whichever worker accepts the surplus
+    // connection sheds it.
     let server = start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue: 16,
         max_conns: 8,
-        event_loops: 2,
         read_timeout_ms: 60_000, // idlers must survive the test window
         ..ServerConfig::default()
     })
@@ -487,8 +485,7 @@ fn connection_cap_sheds_with_503_on_two_event_loops() {
         std::thread::sleep(Duration::from_millis(50));
     }
     assert!(shed >= 1, "at least one over-cap connection must see a 503");
-    // Releasing capacity must make *both* loops reachable again: drain
-    // well past one loop's share of fresh connections.
+    // Releasing capacity makes the server reachable again.
     drop(held);
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut recovered = 0;

@@ -857,83 +857,6 @@ fn startup_fails_loudly_on_a_bad_snapshot_preload() {
 }
 
 #[test]
-fn eval_is_byte_identical_under_keepalive_concurrency() {
-    // The equivalence claim at scale: with 100+ keep-alive connections
-    // hammering `/eval` concurrently through the event loop and worker
-    // pool, every response body is byte-for-byte the reference answer.
-    // The queue is sized above the connection count so nothing sheds —
-    // shedding is exercised elsewhere; this test isolates equivalence.
-    let server = start(&ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 4,
-        queue: 1024,
-        max_body: 64 * 1024,
-        ..ServerConfig::default()
-    })
-    .expect("binding an ephemeral port");
-    let addr = server.addr();
-
-    let world = Json::obj([
-        ("name", Json::str("diffworld")),
-        ("triples", Json::str("a knows b\nb knows c\nc knows a\n")),
-    ])
-    .to_text();
-    assert_eq!(call(addr, "POST", "/ontologies", Some(&world)).0, 201);
-    let eval = Json::obj([
-        ("ontology", Json::str("diffworld")),
-        ("query", Json::str("SELECT ?x WHERE { ?x :knows ?y . }")),
-    ])
-    .to_text();
-    let (status, reference) = call(addr, "POST", "/eval", Some(&eval));
-    assert_eq!(status, 200, "reference eval failed: {reference}");
-
-    const CONNS: usize = 104;
-    const REQS_PER_CONN: usize = 3;
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(CONNS));
-    let workers: Vec<_> = (0..CONNS)
-        .map(|_| {
-            let eval = eval.clone();
-            let reference = reference.clone();
-            let barrier = std::sync::Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut stream = TcpStream::connect(addr).expect("connecting");
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(60)))
-                    .unwrap();
-                // All connections are open before any request flows:
-                // the server genuinely holds CONNS sockets at once.
-                barrier.wait();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                for i in 0..REQS_PER_CONN {
-                    write!(
-                        stream,
-                        "POST /eval HTTP/1.1\r\nHost: diff\r\nContent-Length: {}\r\n\r\n{eval}",
-                        eval.len()
-                    )
-                    .expect("writing a keep-alive request");
-                    let (status, body) = read_response(&mut reader);
-                    assert_eq!(status, 200, "request {i}: {body}");
-                    assert_eq!(body, reference, "request {i} diverged from reference");
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("no client thread may panic");
-    }
-
-    // The scrape proves the load was real: every connection accepted,
-    // every request answered.
-    let (status, scrape) = call(addr, "GET", "/metrics", None);
-    assert_eq!(status, 200);
-    assert!(
-        json_metric(&scrape, "questpro_http_connections_accepted_total") >= CONNS as u64,
-        "all keep-alive connections must be accepted"
-    );
-    server.join();
-}
-
-#[test]
 fn live_updates_version_worlds_and_count_rejections() {
     let server = boot();
     let addr = server.addr();
@@ -1192,14 +1115,13 @@ fn error_responses_echo_a_trace_id_on_every_reject_path() {
     assert_eq!(status, 410);
     seen.push(trace_id(&headers, "410"));
 
-    // 503: a dedicated single-loop server with a cap of one connection
+    // 503: a dedicated server with a cap of one connection
     // sheds the second concurrent connection at accept time, before any
     // request parses.
     let tiny = start(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue: 8,
-        event_loops: 1,
         max_conns: 1,
         ..ServerConfig::default()
     })
@@ -1357,6 +1279,176 @@ fn debug_sessions_exposes_lifecycle_telemetry_and_metrics_marginals() {
             "questpro_session_rounds_bucket{outcome=\"converged\",le=\"+Inf\"}"
         ) >= 1,
         "convergence rounds land in the histogram"
+    );
+    server.join();
+}
+
+/// Posts a complete `parts`-partite world (`size` nodes per part, edges
+/// both ways between parts) under `name`, and returns an eval body that
+/// asks for a clique one larger than any the world has: it finds
+/// nothing, and only after an exhaustive search.
+fn post_dense_world(addr: SocketAddr, name: &str, parts: usize, size: usize) -> String {
+    let nodes: Vec<(usize, usize)> = (0..parts)
+        .flat_map(|p| (0..size).map(move |i| (p, i)))
+        .collect();
+    let mut triples = String::new();
+    for &(p, i) in &nodes {
+        for &(q, j) in &nodes {
+            if p != q {
+                triples.push_str(&format!("n{p}_{i} e n{q}_{j}\n"));
+            }
+        }
+    }
+    let body = Json::obj([("name", Json::str(name)), ("triples", Json::str(triples))]).to_text();
+    let (status, resp) = call(addr, "POST", "/ontologies", Some(&body));
+    assert_eq!(status, 201, "posting the dense world: {resp}");
+    let mut pattern = String::new();
+    for i in 0..=parts {
+        for j in i + 1..=parts {
+            pattern.push_str(&format!("?v{i} :e ?v{j} . "));
+        }
+    }
+    Json::obj([
+        ("ontology", Json::str(name)),
+        (
+            "query",
+            Json::str(format!("SELECT ?v0 WHERE {{ {pattern}}}")),
+        ),
+    ])
+    .to_text()
+}
+
+/// An eval body whose answer takes at least `floor` on this build and
+/// host: the dense world grows until it does.
+fn slow_eval(addr: SocketAddr, floor: Duration) -> String {
+    for size in 3..40 {
+        let body = post_dense_world(addr, &format!("dense{size}"), 4, size);
+        let started = std::time::Instant::now();
+        let (status, resp) = call(addr, "POST", "/eval", Some(&body));
+        assert_eq!(status, 200, "clique eval: {resp}");
+        if started.elapsed() >= floor {
+            return body;
+        }
+    }
+    panic!("no dense world took {floor:?} to search");
+}
+
+/// Sends one request on a fresh connection without reading the answer.
+fn send(addr: SocketAddr, method: &str, path: &str, body: &str) -> BufReader<TcpStream> {
+    let mut stream = TcpStream::connect(addr).expect("connecting to the server");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("writing the request");
+    BufReader::new(stream)
+}
+
+/// Blocks until every worker of a fresh server has started a handler:
+/// each handler bumps the request counter, and so does each scrape.
+fn await_handlers_started(addr: SocketAddr, baseline: u64, handlers: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    for scrapes in 1.. {
+        let (_, scrape) = call(addr, "GET", "/metrics", None);
+        if json_metric(&scrape, "questpro_http_requests_total") >= baseline + scrapes + handlers {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the slow handlers never started"
+        );
+        // Paced, so the scrapes' own traces do not crowd other tests'
+        // out of the shared trace registry.
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn a_saturated_server_answers_probes_queues_one_and_sheds_the_next() {
+    let server = start(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue: 1,
+        ..ServerConfig::default()
+    })
+    .expect("binding an ephemeral port");
+    let addr = server.addr();
+    let slow = slow_eval(addr, Duration::from_millis(200));
+
+    // A holds the only worker.
+    let (_, scrape) = call(addr, "GET", "/metrics", None);
+    let baseline = json_metric(&scrape, "questpro_http_requests_total");
+    let mut a = send(addr, "POST", "/eval", &slow);
+    await_handlers_started(addr, baseline, 1);
+    // B waits in the queue of one.
+    let mut b = send(addr, "POST", "/eval", &slow);
+
+    // Probes on other connections are not held behind A.
+    for path in ["/healthz", "/metrics"] {
+        let fastest = (0..3)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                assert_eq!(call(addr, "GET", path, None).0, 200, "{path}");
+                started.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < Duration::from_millis(50),
+            "{path} took {fastest:?} while the worker was busy"
+        );
+    }
+    // C finds the worker busy and the queue full.
+    assert_eq!(call(addr, "POST", "/eval", Some(&slow)).0, 503);
+
+    assert_eq!(read_response(&mut a).0, 200, "the running request");
+    assert_eq!(read_response(&mut b).0, 200, "the queued request");
+    server.join();
+}
+
+#[test]
+fn a_fast_request_is_answered_while_a_slow_one_runs() {
+    let server = start(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        queue: 4,
+        ..ServerConfig::default()
+    })
+    .expect("binding an ephemeral port");
+    let addr = server.addr();
+    let slow = slow_eval(addr, Duration::from_millis(200));
+    let body = Json::obj([
+        ("name", Json::str("tiny")),
+        ("triples", Json::str("a knows b\n")),
+    ])
+    .to_text();
+    assert_eq!(call(addr, "POST", "/ontologies", Some(&body)).0, 201);
+    let fast = Json::obj([
+        ("ontology", Json::str("tiny")),
+        ("query", Json::str("SELECT ?x WHERE { ?x :knows ?y . }")),
+    ])
+    .to_text();
+
+    let (_, scrape) = call(addr, "GET", "/metrics", None);
+    let baseline = json_metric(&scrape, "questpro_http_requests_total");
+    let a = std::thread::spawn(move || {
+        let mut a = send(addr, "POST", "/eval", &slow);
+        let status = read_response(&mut a).0;
+        (status, std::time::Instant::now())
+    });
+    await_handlers_started(addr, baseline, 1);
+    let (status, resp) = call(addr, "POST", "/eval", Some(&fast));
+    let fast_done = std::time::Instant::now();
+    assert_eq!((status, resp.as_str()), (200, r#"{"results":["a"]}"#));
+    let (slow_status, slow_done) = a.join().expect("slow client");
+    assert_eq!(slow_status, 200);
+    assert!(
+        fast_done < slow_done,
+        "the fast request waited for the slow one"
     );
     server.join();
 }
