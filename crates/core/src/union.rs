@@ -97,9 +97,12 @@ impl Branch {
 /// so a cached merge (query, gain, vars) is identical on every ontology
 /// version and needs no predicate-signature invalidation.
 type BranchPairKey = (std::sync::Arc<str>, std::sync::Arc<str>);
-/// Cached outcome: the merged query, its gain, and its memoized
-/// generalization-variable count, or `None` for unmergeable pairs.
-type CachedMerge = Option<(SimpleQuery, f64, usize)>;
+/// Cached outcome: the merged query as a finished [`Branch`], its gain,
+/// and its memoized generalization-variable count, or `None` for
+/// unmergeable pairs. Storing the branch means a successor state
+/// shares the pattern graph, query and key of every earlier state that
+/// applied the same merge instead of rebuilding them.
+type CachedMerge = Option<(Branch, f64, usize)>;
 
 #[derive(Debug, Default)]
 pub(crate) struct MergeCache {
@@ -133,11 +136,11 @@ pub(crate) fn initial_branches(ont: &Ontology, examples: &ExampleSet) -> Vec<Bra
         .collect()
 }
 
-/// Result of a `MergeBestTwo` scan: the best pair and its merged query.
+/// Result of a `MergeBestTwo` scan: the best pair and its merged branch.
 pub(crate) struct BestMerge {
     pub(crate) i: usize,
     pub(crate) j: usize,
-    pub(crate) query: SimpleQuery,
+    pub(crate) branch: Branch,
 }
 
 /// Scans all branch pairs with Algorithm 1 and returns the candidates
@@ -210,7 +213,7 @@ pub(crate) fn merge_candidates(
             |&(i, j)| {
                 merge_pair(&branches[i].graph, &branches[j].graph, cfg).map(|o| {
                     let vars = o.query.generalization_vars();
-                    (o.query, o.gain, vars)
+                    (Branch::from_query(o.query), o.gain, vars)
                 })
             },
         )
@@ -221,7 +224,8 @@ pub(crate) fn merge_candidates(
         cache.map.insert(key, outcome);
     }
     // Collect results in pair order, exactly as the sequential scan did.
-    // Queries are cloned only for the `take` survivors, after the sort.
+    // Branches are cloned (`Arc` bumps) only for the `take` survivors,
+    // after the sort.
     let mut all: Vec<(usize, f64, usize, usize, BranchPairKey)> = Vec::new();
     for (i, j, key) in pairs {
         if let Some(Some((_, gain, vars))) = cache.map.get(&key) {
@@ -236,11 +240,11 @@ pub(crate) fn merge_candidates(
         .into_iter()
         .take(take)
         .map(|(_, _, i, j, key)| {
-            let (query, _, _) = cache.map[&key].as_ref().expect("key was mergeable");
+            let (branch, _, _) = cache.map[&key].as_ref().expect("key was mergeable");
             BestMerge {
                 i,
                 j,
-                query: query.clone(),
+                branch: branch.clone(),
             }
         })
         .collect();
@@ -275,7 +279,7 @@ pub(crate) fn apply_merge(branches: &[Branch], m: &BestMerge) -> Vec<Branch> {
             next.push(b.clone());
         }
     }
-    next.push(Branch::from_query(m.query.clone()));
+    next.push(m.branch.clone());
     next
 }
 

@@ -13,6 +13,14 @@
 //! pool, and the pass never scans more index entries than that pool
 //! holds (DESIGN.md §9, "Candidate domains").
 //!
+//! The checks run on the matcher's probe driver
+//! ([`Matcher::anchored`]): the query is resolved and its edge order
+//! computed once for the shape "projected node bound", and one search
+//! state is reused for every candidate — bind, search to the first
+//! match, unbind — without building a match. With `threads > 1` the
+//! candidates split into at most `threads` contiguous chunks, one probe
+//! per chunk (DESIGN.md §9, "The probe driver").
+//!
 //! Provenance evaluation enumerates homomorphisms for a *bound* result
 //! only (the paper's Section V optimization: run differences without
 //! provenance, then bind one result and track provenance just for it).
@@ -24,7 +32,6 @@ use questpro_graph::{NodeId, Ontology, PredId, Subgraph};
 use questpro_query::{SimpleQuery, UnionQuery};
 
 use crate::matcher::Matcher;
-use crate::par::map_chunked;
 
 /// Candidate images of the projected node, sorted and distinct: a
 /// superset of `Q(O)` (only **required** edges constrain results).
@@ -189,9 +196,10 @@ pub fn evaluate(ont: &Ontology, q: &SimpleQuery) -> BTreeSet<NodeId> {
     evaluate_with(ont, q, 1)
 }
 
-/// [`evaluate`] with the per-candidate existence checks spread over up
-/// to `threads` scoped workers. The result is a set, and every check is
-/// independent, so the output is identical for every thread count.
+/// [`evaluate`] with the candidates split into up to `threads`
+/// contiguous chunks, one probe per chunk on its own scoped worker. The
+/// result is a set, and every check is independent, so the output is
+/// identical for every thread count.
 pub fn evaluate_with(ont: &Ontology, q: &SimpleQuery, threads: usize) -> BTreeSet<NodeId> {
     evaluate_counted(ont, q, threads).0
 }
@@ -205,19 +213,11 @@ fn evaluate_counted(ont: &Ontology, q: &SimpleQuery, threads: usize) -> (BTreeSe
     // so every candidate is bound and checked, even when the projected
     // node has no required edge.
     let cands = projected_candidates(ont, q);
-    let hits = map_chunked(&cands, threads, |&v| {
-        Matcher::new(ont, q)
-            .bind(q.projected(), v)
-            .skip_optionals()
-            .exists()
-    });
-    let checked = cands.len();
-    let results = cands
-        .into_iter()
-        .zip(hits)
-        .filter_map(|(v, hit)| hit.then_some(v))
-        .collect();
-    (results, checked)
+    let hits = Matcher::new(ont, q)
+        .skip_optionals()
+        .parallel(threads)
+        .anchored(q.projected(), &cands);
+    (hits.into_iter().collect(), cands.len())
 }
 
 /// Evaluates a union query: `q1(O) ∪ … ∪ qn(O)`.
@@ -225,27 +225,22 @@ pub fn evaluate_union(ont: &Ontology, q: &UnionQuery) -> BTreeSet<NodeId> {
     evaluate_union_with(ont, q, 1)
 }
 
-/// [`evaluate_union`] with branches evaluated concurrently (a union is
-/// a set union of independent branch evaluations, so the output is
-/// identical for every thread count). A single-branch union falls back
-/// to per-candidate parallelism instead.
+/// [`evaluate_union`] with each branch's candidates spread over up to
+/// `threads` probes ([`evaluate_with`]); branches run in sequence. A
+/// union is a set union of branch results, so the output is identical
+/// for every thread count.
 pub fn evaluate_union_with(ont: &Ontology, q: &UnionQuery, threads: usize) -> BTreeSet<NodeId> {
-    // Spans stay on the calling thread: the per-branch workers below
-    // record nothing, so the trace shape is thread-count invariant.
+    // Spans stay on the calling thread: the probe workers record
+    // nothing, so the trace shape is thread-count invariant.
     let _t = questpro_trace::span("engine.evaluate_union");
     let branches = q.branches();
-    let (out, candidates) = if branches.len() == 1 {
-        evaluate_counted(ont, &branches[0], threads)
-    } else {
-        let per_branch = map_chunked(branches, threads, |b| evaluate_counted(ont, b, 1));
-        let mut out = BTreeSet::new();
-        let mut candidates = 0;
-        for (set, checked) in per_branch {
-            out.extend(set);
-            candidates += checked;
-        }
-        (out, candidates)
-    };
+    let mut out = BTreeSet::new();
+    let mut candidates = 0;
+    for b in branches {
+        let (set, checked) = evaluate_counted(ont, b, threads);
+        out.extend(set);
+        candidates += checked;
+    }
     questpro_trace::add("branches", branches.len() as u64);
     questpro_trace::add("candidates", candidates as u64);
     questpro_trace::add("results", out.len() as u64);

@@ -38,6 +38,12 @@
 //!   [`Ontology::out_signature`] / [`Ontology::in_signature`]. A failed
 //!   subset test proves no match can extend the binding, cutting the
 //!   branch in one AND/compare;
+//! * **the probe driver** ([`Matcher::anchored`]) — result-anchored
+//!   evaluation asks, for each candidate `v`, whether a match binds a
+//!   node to `v`. The driver does the per-query work (edge order, the
+//!   constants' checks, the search state) once and then binds, searches
+//!   and unbinds per candidate, stopping at the first match without
+//!   building a [`Match`];
 //! * **sharded parallel search** ([`Matcher::parallel`]) — the candidate
 //!   pool of the first (most-constrained) required edge is materialized
 //!   and split into contiguous chunks, one `std::thread::scope` worker
@@ -54,6 +60,7 @@ use questpro_graph::{EdgeId, NodeId, Ontology, PredId, Subgraph};
 use questpro_query::{QueryNodeId, SimpleQuery};
 
 use crate::metrics;
+use crate::par::map_chunked;
 
 /// A match: images of the matched query nodes and edges.
 ///
@@ -181,6 +188,8 @@ impl<'a> Matcher<'a> {
         let mut preds = Vec::with_capacity(q.edge_count());
         let mut required = Vec::new();
         let mut optionals = Vec::new();
+        let mut req_out_mask = vec![0u64; q.node_count()];
+        let mut req_in_mask = vec![0u64; q.node_count()];
         for (i, e) in q.edges().iter().enumerate() {
             match ont.pred_by_name(&e.pred) {
                 Some(p) => {
@@ -189,6 +198,9 @@ impl<'a> Matcher<'a> {
                         optionals.push(i);
                     } else {
                         required.push(i);
+                        let bit = ont.pred_bit(p);
+                        req_out_mask[e.src.index()] |= bit;
+                        req_in_mask[e.dst.index()] |= bit;
                     }
                 }
                 None => {
@@ -222,15 +234,6 @@ impl<'a> Matcher<'a> {
         for &(a, b) in q.diseqs() {
             diseq_partners[a.index()].push(b.index());
             diseq_partners[b.index()].push(a.index());
-        }
-        let mut req_out_mask = vec![0u64; q.node_count()];
-        let mut req_in_mask = vec![0u64; q.node_count()];
-        for (i, e) in q.edges().iter().enumerate() {
-            if !e.optional && ont.pred_by_name(&e.pred).is_some() {
-                let bit = ont.pred_bit(preds[i]);
-                req_out_mask[e.src.index()] |= bit;
-                req_in_mask[e.dst.index()] |= bit;
-            }
         }
         Self {
             ont,
@@ -295,8 +298,9 @@ impl<'a> Matcher<'a> {
     /// candidate pool of the first (most-constrained) required edge.
     ///
     /// Affects [`Matcher::collect`], [`Matcher::count`],
-    /// [`Matcher::exists`], and the image enumeration used by
-    /// provenance; `for_each` and `first` always run sequentially.
+    /// [`Matcher::exists`], the image enumeration used by provenance,
+    /// and [`Matcher::anchored`] (which shards its candidates instead);
+    /// `for_each` and `first` always run sequentially.
     /// Outputs are **bit-identical** to the sequential search: chunks
     /// are contiguous slices of the candidate pool, merged in order.
     pub fn parallel(mut self, threads: usize) -> Self {
@@ -308,63 +312,62 @@ impl<'a> Matcher<'a> {
     /// [`ControlFlow::Break`]. Always sequential (see
     /// [`Matcher::parallel`] for the sharded drivers).
     pub fn for_each(&self, mut f: impl FnMut(&Match) -> ControlFlow<()>) {
-        let Some((order, mut state)) = self.prepare() else {
-            return;
-        };
-        let _ = self.recurse(&order, 0, &mut state, &mut f);
-        metrics::flush_search(state.expanded, state.matched);
+        self.drive(|st| self.emit(st, &mut f));
     }
 
     /// The first match, if any (sequential enumeration order).
     pub fn first(&self) -> Option<Match> {
         let mut found = None;
-        self.for_each(|m| {
-            found = Some(m.clone());
-            ControlFlow::Break(())
+        self.drive(|st| match self.emit_match(st) {
+            Some(m) => {
+                found = Some(m);
+                ControlFlow::Break(())
+            }
+            None => ControlFlow::Continue(()),
         });
         found
     }
 
     /// Whether any match exists. With [`Matcher::parallel`], shards
     /// race with a shared early-stop flag — the boolean outcome is
-    /// identical either way.
+    /// identical either way. No [`Match`] is built.
     pub fn exists(&self) -> bool {
         if self.threads > 1 {
             let stop = AtomicBool::new(false);
             if let Some(found) = self.map_chunks(|chunk, order, proto| {
-                let mut any = false;
-                self.run_chunk(chunk, order, proto, Some(&stop), |_| {
-                    any = true;
-                    stop.store(true, Ordering::Relaxed);
-                    ControlFlow::Break(())
-                });
-                any
+                self.run_chunk(chunk, order, proto, Some(&stop), |st| {
+                    let r = self.stop_at_match(st);
+                    if r.is_break() {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    r
+                })
             }) {
-                return found.iter().any(|&b| b);
+                return found.contains(&true);
             }
         }
-        self.first().is_some()
+        self.drive(|st| self.stop_at_match(st))
     }
 
     /// Counts all matches (use with care on large ontologies).
     pub fn count(&self) -> u64 {
+        let tally = |n: &mut u64, st: &mut State| {
+            if self.accept(st) {
+                *n += 1;
+            }
+            ControlFlow::Continue(())
+        };
         if self.threads > 1 {
             if let Some(counts) = self.map_chunks(|chunk, order, proto| {
                 let mut n = 0u64;
-                self.run_chunk(chunk, order, proto, None, |_| {
-                    n += 1;
-                    ControlFlow::Continue(())
-                });
+                self.run_chunk(chunk, order, proto, None, |st| tally(&mut n, st));
                 n
             }) {
                 return counts.iter().sum();
             }
         }
-        let mut n = 0;
-        self.for_each(|_| {
-            n += 1;
-            ControlFlow::Continue(())
-        });
+        let mut n = 0u64;
+        self.drive(|st| tally(&mut n, st));
         n
     }
 
@@ -372,24 +375,57 @@ impl<'a> Matcher<'a> {
     /// (parallel sharding merges chunk outputs in chunk order, so the
     /// result is identical for every thread count).
     pub fn collect(&self) -> Vec<Match> {
+        let gather = |out: &mut Vec<Match>, st: &mut State| {
+            out.extend(self.emit_match(st));
+            ControlFlow::Continue(())
+        };
         if self.threads > 1 {
             if let Some(per_chunk) = self.map_chunks(|chunk, order, proto| {
                 let mut out = Vec::new();
-                self.run_chunk(chunk, order, proto, None, |m| {
-                    out.push(m.clone());
-                    ControlFlow::Continue(())
-                });
+                self.run_chunk(chunk, order, proto, None, |st| gather(&mut out, st));
                 out
             }) {
                 return per_chunk.concat();
             }
         }
         let mut out = Vec::new();
-        self.for_each(|m| {
-            out.push(m.clone());
-            ControlFlow::Continue(())
-        });
+        self.drive(|st| gather(&mut out, st));
         out
+    }
+
+    /// The candidates `v` of `candidates`, in input order, for which a
+    /// match binding query node `n` to `v` exists — the probe driver of
+    /// result-anchored evaluation.
+    ///
+    /// The outcome equals filtering by `self.bind(n, v).exists()` one
+    /// candidate at a time, but the per-query work runs once: the query
+    /// is resolved when the matcher is built, the edge order is computed
+    /// once for the shape "`n` bound", and one search state is reused —
+    /// each candidate binds `n`, searches up to its first match, and
+    /// unbinds. No [`Match`] is built.
+    ///
+    /// With [`Matcher::parallel`], the candidates split into at most
+    /// `threads` contiguous chunks, one probe per chunk, so the output
+    /// is identical at every thread count. Every probed candidate counts
+    /// as one search in [`metrics`], as a matcher per candidate would; a
+    /// candidate that a constant, a disequality or a signature rules out
+    /// before the search counts none.
+    pub fn anchored(&self, n: QueryNodeId, candidates: &[NodeId]) -> Vec<NodeId> {
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        let n = n.index();
+        let Some((order, proto)) = self.prepare(Some(n)) else {
+            return Vec::new();
+        };
+        let workers = crate::par::effective_threads(self.threads).min(candidates.len());
+        let chunks: Vec<&[NodeId]> = candidates
+            .chunks(candidates.len().div_ceil(workers))
+            .collect();
+        map_chunked(&chunks, workers, |chunk| {
+            self.probe_chunk(n, chunk, &order, &proto)
+        })
+        .concat()
     }
 
     /// Distinct match images (Def. 2.4) in first-encountered order,
@@ -402,49 +438,42 @@ impl<'a> Matcher<'a> {
         if limit == Some(0) {
             return Vec::new();
         }
-        let fold = |shard_limit: Option<usize>| {
-            move |chunk: &[TopCandidate], order: &[usize], proto: &State| {
-                let mut seen = std::collections::BTreeSet::new();
-                let mut ordered = Vec::new();
-                self.run_chunk(chunk, order, proto, None, |m| {
-                    let img = m.image(self.ont);
-                    if seen.insert(img.clone()) {
-                        ordered.push(img);
-                        if shard_limit.is_some_and(|l| ordered.len() >= l) {
-                            return ControlFlow::Break(());
-                        }
+        // Folds one match into a first-encountered distinct-image list,
+        // breaking once `cap` images are held.
+        let fold = |seen: &mut std::collections::BTreeSet<Subgraph>,
+                    ordered: &mut Vec<Subgraph>,
+                    cap: Option<usize>,
+                    st: &mut State| {
+            self.emit(st, &mut |m| {
+                let img = m.image(self.ont);
+                if seen.insert(img.clone()) {
+                    ordered.push(img);
+                    if cap.is_some_and(|l| ordered.len() >= l) {
+                        return ControlFlow::Break(());
                     }
-                    ControlFlow::Continue(())
-                });
-                ordered
-            }
+                }
+                ControlFlow::Continue(())
+            })
         };
         let per_chunk = if self.threads > 1 {
-            self.map_chunks(fold(limit))
+            self.map_chunks(|chunk, order, proto| {
+                let mut seen = std::collections::BTreeSet::new();
+                let mut ordered = Vec::new();
+                self.run_chunk(chunk, order, proto, None, |st| {
+                    fold(&mut seen, &mut ordered, limit, st)
+                });
+                ordered
+            })
         } else {
             None
         };
-        let chunks = match per_chunk {
-            Some(chunks) => chunks,
-            None => {
-                // Sequential fallback: one "chunk" spanning everything.
-                let mut seen = std::collections::BTreeSet::new();
-                let mut ordered = Vec::new();
-                self.for_each(|m| {
-                    let img = m.image(self.ont);
-                    if seen.insert(img.clone()) {
-                        ordered.push(img);
-                        if limit.is_some_and(|l| ordered.len() >= l) {
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    ControlFlow::Continue(())
-                });
-                return ordered;
-            }
-        };
         let mut seen = std::collections::BTreeSet::new();
         let mut ordered = Vec::new();
+        let Some(chunks) = per_chunk else {
+            // Sequential fallback: one "chunk" spanning everything.
+            self.drive(|st| fold(&mut seen, &mut ordered, limit, st));
+            return ordered;
+        };
         'merge: for chunk in chunks {
             for img in chunk {
                 if seen.insert(img.clone()) {
@@ -460,10 +489,36 @@ impl<'a> Matcher<'a> {
 
     // -- internals ----------------------------------------------------
 
+    /// The sequential search: hands every complete assignment to
+    /// `on_complete` (which decides whether it is a match, see
+    /// [`Matcher::accept`]) until it breaks. Returns whether it broke.
+    fn drive(&self, mut on_complete: impl FnMut(&mut State) -> ControlFlow<()>) -> bool {
+        let Some((order, mut state)) = self.prepare(None) else {
+            return false;
+        };
+        let broke = self.recurse(&order, 0, &mut state, &mut on_complete);
+        metrics::flush_search(state.expanded, state.matched);
+        broke.is_break()
+    }
+
     /// Resolves pre-bindings and constants, checks initial constraints,
     /// and computes the edge order. `None` means the query provably has
-    /// no matches (or violates a pre-binding).
-    fn prepare(&self) -> Option<(Vec<usize>, State)> {
+    /// no matches (or violates a pre-binding). A probe passes the node
+    /// it binds per candidate as `anchor`: the order then assumes it
+    /// bound.
+    fn prepare(&self, anchor: Option<usize>) -> Option<(Vec<usize>, State)> {
+        let state = self.initial_state()?;
+        let mut bound: Vec<bool> = state.node_assign.iter().map(Option::is_some).collect();
+        if let Some(n) = anchor {
+            bound[n] = true;
+        }
+        Some((self.edge_order(bound), state))
+    }
+
+    /// The search state before the first edge: constants and
+    /// pre-bindings assigned and checked. `None` means the query
+    /// provably has no matches (or violates a pre-binding).
+    fn initial_state(&self) -> Option<State> {
         if !self.resolvable {
             return None;
         }
@@ -493,10 +548,8 @@ impl<'a> Matcher<'a> {
                 Some(existing) if existing != v => return None,
                 _ => {}
             }
-            if let Some(sub) = self.restrict {
-                if !sub.contains_node(v) {
-                    return None;
-                }
+            if !self.node_allowed(v) {
+                return None;
             }
             node_assign[n] = Some(v);
         }
@@ -507,15 +560,53 @@ impl<'a> Matcher<'a> {
                 }
             }
         }
-        let order = self.edge_order(&node_assign);
-        let state = State {
+        Some(State {
             node_assign,
             edge_assign: vec![None; self.q.edge_count()],
             cover: CoverTracker::new(self.restrict.filter(|_| self.onto)),
             expanded: 0,
             matched: 0,
-        };
-        Some((order, state))
+        })
+    }
+
+    /// Probes each candidate of `chunk` for query node `n` on one reused
+    /// state (see [`Matcher::anchored`]), returning the hits in order.
+    fn probe_chunk(
+        &self,
+        n: usize,
+        chunk: &[NodeId],
+        order: &[usize],
+        proto: &State,
+    ) -> Vec<NodeId> {
+        let mut state = proto.clone();
+        let prior = state.node_assign[n];
+        let mut searches = 0u64;
+        let mut hits = Vec::new();
+        for &v in chunk {
+            // The checks `initial_state` would add for the binding
+            // `n ↦ v`; every other node's were done once, for all
+            // candidates. Diseqs are symmetric, so checking `n`'s
+            // partners covers the pairs that involve `n`.
+            let admitted = match prior {
+                Some(existing) => existing == v && self.node_allowed(v),
+                None => {
+                    state.node_assign[n] = Some(v);
+                    self.node_allowed(v)
+                        && self.sig_ok(n, v)
+                        && self.diseqs_ok(&state.node_assign, n)
+                }
+            };
+            if admitted {
+                searches += 1;
+                let found = self.recurse(order, 0, &mut state, &mut |st| self.stop_at_match(st));
+                if found.is_break() {
+                    hits.push(v);
+                }
+            }
+            state.node_assign[n] = prior;
+        }
+        metrics::flush_searches(searches, state.expanded, state.matched);
+        hits
     }
 
     /// 1-hop signature test: can ontology node `v` support every
@@ -578,15 +669,15 @@ impl<'a> Matcher<'a> {
     }
 
     /// Runs `worker` over contiguous chunks of the top-level candidate
-    /// pool on `std::thread::scope` workers, returning per-chunk outputs
-    /// in chunk order. `None` when the search is not shardable (no
-    /// required edges, a tiny pool, or an impossible query — callers
-    /// fall back to the sequential driver).
+    /// pool on scoped workers, returning per-chunk outputs in chunk
+    /// order. `None` when the search is not shardable (no required
+    /// edges, a tiny pool, or an impossible query — callers fall back to
+    /// the sequential driver).
     fn map_chunks<T: Send>(
         &self,
         worker: impl Fn(&[TopCandidate], &[usize], &State) -> T + Sync,
     ) -> Option<Vec<T>> {
-        let (order, proto) = self.prepare()?;
+        let (order, proto) = self.prepare(None)?;
         if order.is_empty() {
             return None;
         }
@@ -596,52 +687,44 @@ impl<'a> Matcher<'a> {
             return None;
         }
         let workers = threads.min(cands.len());
-        let chunk_len = cands.len().div_ceil(workers);
-        let order = &order;
-        let proto = &proto;
-        let worker = &worker;
-        Some(std::thread::scope(|s| {
-            let handles: Vec<_> = cands
-                .chunks(chunk_len)
-                .map(|chunk| s.spawn(move || worker(chunk, order, proto)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("matcher shard panicked"))
-                .collect()
+        let chunks: Vec<&[TopCandidate]> = cands.chunks(cands.len().div_ceil(workers)).collect();
+        Some(map_chunked(&chunks, workers, |chunk| {
+            worker(chunk, &order, &proto)
         }))
     }
 
     /// Sequentially searches one candidate chunk: binds each top-level
     /// candidate and recurses over the remaining edge order, exactly as
-    /// the unsharded search would for that slice of the pool.
+    /// the unsharded search would for that slice of the pool. Returns
+    /// whether `on_complete` broke (a raised `stop` flag is no break).
     fn run_chunk(
         &self,
         chunk: &[TopCandidate],
         order: &[usize],
         proto: &State,
         stop: Option<&AtomicBool>,
-        mut on_match: impl FnMut(&Match) -> ControlFlow<()>,
-    ) {
+        mut on_complete: impl FnMut(&mut State) -> ControlFlow<()>,
+    ) -> bool {
         let mut state = proto.clone();
-        'outer: for &(te, binds, blen) in chunk {
-            if let Some(stop) = stop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+        let mut broke = false;
+        for &(te, binds, blen) in chunk {
+            if stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+                break;
             }
             let r = self.try_bind(
                 &mut state,
-                &mut |st| self.recurse(order, 1, st, &mut on_match),
+                &mut |st| self.recurse(order, 1, st, &mut on_complete),
                 order[0],
                 te,
                 &binds[..blen],
             );
             if r.is_break() {
-                break 'outer;
+                broke = true;
+                break;
             }
         }
         metrics::flush_search(state.expanded, state.matched);
+        broke
     }
 
     /// Static order over the *required* edges: greedily pick the edge
@@ -651,11 +734,10 @@ impl<'a> Matcher<'a> {
     /// bound endpoints, then lowest edge index, so the order is fully
     /// deterministic. The *match set* does not depend on the order —
     /// ordering only moves search effort.
-    fn edge_order(&self, initial: &[Option<NodeId>]) -> Vec<usize> {
+    fn edge_order(&self, mut bound: Vec<bool>) -> Vec<usize> {
         if self.sequential {
             return self.required.clone();
         }
-        let mut bound: Vec<bool> = initial.iter().map(Option::is_some).collect();
         let mut remaining: Vec<usize> = self.required.clone();
         let mut order = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
@@ -699,6 +781,10 @@ impl<'a> Matcher<'a> {
         }
     }
 
+    fn node_allowed(&self, v: NodeId) -> bool {
+        self.restrict.is_none_or(|sub| sub.contains_node(v))
+    }
+
     fn diseqs_ok(&self, node_assign: &[Option<NodeId>], n: usize) -> bool {
         let v = node_assign[n].expect("checked after assignment");
         self.diseq_partners[n]
@@ -714,7 +800,7 @@ impl<'a> Matcher<'a> {
         order: &[usize],
         depth: usize,
         state: &mut State,
-        f: &mut impl FnMut(&Match) -> ControlFlow<()>,
+        f: &mut impl FnMut(&mut State) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         if depth == order.len() {
             return self.finish_isolated(0, state, f);
@@ -858,7 +944,7 @@ impl<'a> Matcher<'a> {
         &self,
         from: usize,
         state: &mut State,
-        f: &mut impl FnMut(&Match) -> ControlFlow<()>,
+        f: &mut impl FnMut(&mut State) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let next = (from..self.q.node_count())
             .find(|&n| self.enumerable[n] && state.node_assign[n].is_none());
@@ -886,7 +972,7 @@ impl<'a> Matcher<'a> {
         n: usize,
         v: NodeId,
         state: &mut State,
-        f: &mut impl FnMut(&Match) -> ControlFlow<()>,
+        f: &mut impl FnMut(&mut State) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         state.expanded += 1;
         state.node_assign[n] = Some(v);
@@ -901,15 +987,16 @@ impl<'a> Matcher<'a> {
 
     /// The OPTIONAL extension phase: each optional edge is matched in
     /// every possible way; when nothing matches it is skipped. In onto
-    /// mode a skip branch is explored even when matches exist.
+    /// mode a skip branch is explored even when matches exist. Each
+    /// complete assignment goes to `f`.
     fn extend_optionals(
         &self,
         oi: usize,
         state: &mut State,
-        f: &mut impl FnMut(&Match) -> ControlFlow<()>,
+        f: &mut impl FnMut(&mut State) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         if !self.include_optionals || oi >= self.optionals.len() {
-            return self.emit(state, f);
+            return f(state);
         }
         let ei = self.optionals[oi];
         let mut matched_any = false;
@@ -924,14 +1011,11 @@ impl<'a> Matcher<'a> {
         ControlFlow::Continue(())
     }
 
-    fn emit(
-        &self,
-        state: &mut State,
-        f: &mut impl FnMut(&Match) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        // A node is in the match exactly when it is in required scope or
-        // one of its optional edges was matched; constants pre-assigned
-        // for skipped optional edges are dropped from the image.
+    /// The images of the nodes in the match: a node is in it exactly
+    /// when it is in required scope or one of its optional edges was
+    /// matched; constants pre-assigned for skipped optional edges are
+    /// dropped from the image.
+    fn scoped_nodes(&self, state: &State) -> Vec<Option<NodeId>> {
         let mut in_scope = self.required_scope.clone();
         for (ei, te) in state.edge_assign.iter().enumerate() {
             if te.is_some() {
@@ -940,27 +1024,52 @@ impl<'a> Matcher<'a> {
                 in_scope[e.dst.index()] = true;
             }
         }
-        let scoped_nodes: Vec<Option<NodeId>> = state
+        state
             .node_assign
             .iter()
-            .enumerate()
-            .map(|(n, v)| if in_scope[n] { *v } else { None })
-            .collect();
-        if self.onto {
-            let sub = self.restrict.expect("onto implies restrict");
-            if state.cover.uncovered() != Some(0) {
-                return ControlFlow::Continue(());
-            }
-            // Every restriction node must be some in-scope node image.
-            for &n in sub.nodes() {
-                let covered = scoped_nodes.contains(&Some(n));
-                if !covered {
-                    return ControlFlow::Continue(());
-                }
-            }
+            .zip(in_scope)
+            .map(|(v, scoped)| if scoped { *v } else { None })
+            .collect()
+    }
+
+    /// Whether a complete assignment with node images `nodes` covers the
+    /// whole restriction (always true outside onto mode).
+    fn covers(&self, state: &State, nodes: &[Option<NodeId>]) -> bool {
+        if !self.onto {
+            return true;
+        }
+        let sub = self.restrict.expect("onto implies restrict");
+        // Every restriction edge and node must be some in-scope image.
+        state.cover.uncovered() == Some(0) && sub.nodes().iter().all(|&n| nodes.contains(&Some(n)))
+    }
+
+    /// Whether a complete assignment is a match, counting it if so. In
+    /// onto mode it must cover the restriction; otherwise every
+    /// complete assignment is one.
+    fn accept(&self, state: &mut State) -> bool {
+        let ok = !self.onto || self.covers(state, &self.scoped_nodes(state));
+        state.matched += u64::from(ok);
+        ok
+    }
+
+    /// Terminal of the existence drivers: breaks at the first match.
+    fn stop_at_match(&self, state: &mut State) -> ControlFlow<()> {
+        if self.accept(state) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// The match a complete assignment forms, if it is one (counted as
+    /// by [`Matcher::accept`]).
+    fn emit_match(&self, state: &mut State) -> Option<Match> {
+        let nodes = self.scoped_nodes(state);
+        if !self.covers(state, &nodes) {
+            return None;
         }
         let m = Match {
-            nodes: scoped_nodes,
+            nodes,
             edges: state.edge_assign.clone(),
         };
         debug_assert!(
@@ -968,7 +1077,19 @@ impl<'a> Matcher<'a> {
             "required edges are always matched at emit"
         );
         state.matched += 1;
-        f(&m)
+        Some(m)
+    }
+
+    /// Hands the match a complete assignment forms, if any, to `f`.
+    fn emit(
+        &self,
+        state: &mut State,
+        f: &mut impl FnMut(&Match) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        match self.emit_match(state) {
+            Some(m) => f(&m),
+            None => ControlFlow::Continue(()),
+        }
     }
 }
 

@@ -30,7 +30,8 @@ pub fn nodes_expanded() -> u64 {
 }
 
 /// Total matcher search drives finished in this process: one per
-/// sequential search, one per shard of a parallel search. **Monotonic**
+/// sequential search, one per shard of a parallel search, and one per
+/// candidate a probe driver (`Matcher::anchored`) searches. **Monotonic**
 /// — never reset; scrape endpoints can export it as a counter.
 pub fn searches_total() -> u64 {
     SEARCHES.load(Ordering::Relaxed)
@@ -70,7 +71,15 @@ pub(crate) fn add_nodes_expanded(n: u64) {
 
 /// Flushes one finished search drive: its expansion and emission totals.
 pub(crate) fn flush_search(expanded: u64, matched: u64) {
-    SEARCHES.fetch_add(1, Ordering::Relaxed);
+    flush_searches(1, expanded, matched);
+}
+
+/// Flushes `searches` finished search drives at once (a probe driver's
+/// per-candidate searches): their summed expansion and emission totals.
+pub(crate) fn flush_searches(searches: u64, expanded: u64, matched: u64) {
+    if searches > 0 {
+        SEARCHES.fetch_add(searches, Ordering::Relaxed);
+    }
     add_nodes_expanded(expanded);
     if matched > 0 {
         MATCHES.fetch_add(matched, Ordering::Relaxed);

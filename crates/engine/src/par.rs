@@ -16,9 +16,9 @@
 //!   reaches the output — the parallel==sequential differential suite
 //!   stays the oracle.
 //!
-//! Used by evaluation (per-candidate existence checks), union
-//! evaluation (per-branch), Algorithm 1's pairwise merges (stealing,
-//! cost-sized), and the experiment harness.
+//! Used by the matcher's sharded drivers (contiguous chunks of probe
+//! candidates or of the first edge's pool, one chunk per worker) and
+//! Algorithm 1's pairwise merges (stealing, cost-sized).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

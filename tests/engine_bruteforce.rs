@@ -283,6 +283,145 @@ fn matcher_matches_bruteforce() {
     }
 }
 
+/// Hand-built shapes for the probe driver: a constant on the probed
+/// node (probed at every node, constants included), disequalities that
+/// touch the projected node, a projected node with no required edge,
+/// unresolvable predicates and constants, self-loops and OPTIONAL edges.
+fn probe_shapes() -> Vec<SimpleQuery> {
+    let mut out = Vec::new();
+    let mut add = |f: &dyn Fn(&mut QueryBuilder)| {
+        let mut b = QueryBuilder::new();
+        f(&mut b);
+        out.push(b.build().expect("hand-built shape"));
+    };
+    // A constant next to the projected node (and probed itself).
+    add(&|b| {
+        let x = b.var("x");
+        let c = b.constant("n0");
+        b.edge(c, "p", x).project(x);
+    });
+    // Disequalities on the projected node: to a variable and a constant.
+    add(&|b| {
+        let x = b.var("x");
+        let y = b.var("y");
+        b.edge(x, "p", y).diseq(x, y).project(x);
+    });
+    add(&|b| {
+        let x = b.var("x");
+        let y = b.var("y");
+        let c = b.constant("n1");
+        b.edge(x, "q", y).edge(y, "p", c).diseq(x, c).project(x);
+    });
+    // A projected node on no edge, kept apart from a bound node; and one
+    // whose only required edge is a self-loop, with an optional edge.
+    add(&|b| {
+        let x = b.var("x");
+        let y = b.var("y");
+        let z = b.var("z");
+        b.edge(y, "p", z).diseq(x, y).project(x);
+    });
+    add(&|b| {
+        let x = b.var("x");
+        let y = b.var("y");
+        b.edge(x, "p", x).optional_edge(x, "q", y).project(x);
+    });
+    // Self-loops further out, one of them optional.
+    add(&|b| {
+        let x = b.var("x");
+        let y = b.var("y");
+        b.edge(x, "q", y)
+            .edge(y, "p", y)
+            .optional_edge(x, "p", x)
+            .project(x);
+    });
+    // Unresolvable: a required predicate, a constant, and an optional
+    // predicate (which must filter nothing).
+    add(&|b| {
+        let x = b.var("x");
+        let y = b.var("y");
+        b.edge(x, "r", y).project(x);
+    });
+    add(&|b| {
+        let x = b.var("x");
+        let g = b.constant("ghost");
+        b.edge(x, "p", g).project(x);
+    });
+    add(&|b| {
+        let x = b.var("x");
+        let y = b.var("y");
+        let z = b.var("z");
+        b.edge(x, "p", y).optional_edge(y, "r", z).project(x);
+    });
+    out
+}
+
+/// The probe driver ([`Matcher::anchored`]) equals one matcher per
+/// candidate, `Matcher::new(..).bind(n, v).skip_optionals().exists()`,
+/// at every probed node (constants included), for every thread count,
+/// with and without a pre-binding, and with the OPTIONAL phase on too.
+/// Candidates are every node in a shuffled order plus a repeat, so the
+/// driver must keep input order. At the projected node it also equals
+/// the brute-force result set.
+#[test]
+fn probe_driver_matches_a_matcher_per_candidate() {
+    let mut rng = StdRng::seed_from_u64(0xa9);
+    let shapes = probe_shapes();
+    let mut hits = 0usize;
+    for case in 0..CASES + shapes.len() {
+        let edges = arb_edges(&mut rng);
+        let o = build_ontology(&edges);
+        let q = match shapes.get(case) {
+            Some(q) => q.clone(),
+            None => arb_query(&mut rng),
+        };
+        let mut cands: Vec<_> = o.node_ids().collect();
+        cands.shuffle(&mut rng);
+        cands.push(cands[0]);
+        let pin = cands[rng.random_range(0..cands.len() as u32) as usize];
+        for n in q.node_ids() {
+            let other = QueryNodeId::from_index((n.index() + 1) % q.node_count());
+            for skip in [true, false] {
+                for pinned in [false, true] {
+                    let base = || {
+                        let m = Matcher::new(&o, &q);
+                        let m = if skip { m.skip_optionals() } else { m };
+                        if pinned {
+                            m.bind(other, pin)
+                        } else {
+                            m
+                        }
+                    };
+                    let expected: Vec<_> = cands
+                        .iter()
+                        .copied()
+                        .filter(|&v| base().bind(n, v).exists())
+                        .collect();
+                    hits += expected.len();
+                    for threads in [1usize, 2, 8] {
+                        let got = base().parallel(threads).anchored(n, &cands);
+                        assert_eq!(
+                            got, expected,
+                            "probe of node {n} differs for {q} (threads {threads}, \
+                             skip_optionals {skip}, pinned {pinned})"
+                        );
+                    }
+                }
+            }
+        }
+        let at_projected: BTreeSet<_> = Matcher::new(&o, &q)
+            .skip_optionals()
+            .anchored(q.projected(), &cands)
+            .into_iter()
+            .collect();
+        assert_eq!(
+            at_projected,
+            brute_force(&o, &q).0,
+            "results differ for {q}"
+        );
+    }
+    assert!(hits >= CASES, "only {hits} hits: the oracle is too sparse");
+}
+
 /// Brute-force result set of a union: the union of its branches'.
 fn brute_union(ont: &Ontology, u: &UnionQuery) -> BTreeSet<questpro::graph::NodeId> {
     u.branches()
