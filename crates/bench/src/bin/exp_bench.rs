@@ -1021,8 +1021,8 @@ fn baseline_walls(text: &str) -> Vec<(String, f64)> {
 /// *Cold* re-inserts every triple into a fresh `OntologyBuilder` and
 /// times `build()` alone — interning, row tables, adjacency, and the
 /// columnar SPO/POS/OSP block, exactly what a fresh ontology load pays.
-/// *Warm* times [`Ontology::rebuild_columnar`] — just the sorted index
-/// arrays and per-predicate statistics over already-interned ids.
+/// *Warm* times [`Ontology::rebuild_pages`] — just the paged rows, sorted
+/// spans and per-predicate statistics over already-interned ids.
 fn index_build_times(ont: &Ontology) -> (f64, f64) {
     let mut b = Ontology::builder();
     for e in ont.edge_ids() {
@@ -1046,7 +1046,7 @@ fn index_build_times(ont: &Ontology) -> (f64, f64) {
     let mut warm = Vec::new();
     for _ in 0..5 {
         let t0 = Instant::now();
-        std::hint::black_box(ont.rebuild_columnar());
+        std::hint::black_box(ont.rebuild_pages());
         warm.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     (cold_ms, median(warm))

@@ -75,8 +75,10 @@ fn projected_candidates(ont: &Ontology, q: &SimpleQuery) -> Vec<NodeId> {
     let pool = edges
         .iter()
         .filter(|&&(s, _, d)| s == proj || d == proj)
-        .min_by_key(|&&(_, p, _)| ont.edges_with_pred(p).len());
-    let cap = pool.map_or(ont.node_count(), |&(_, p, _)| ont.edges_with_pred(p).len());
+        .min_by_key(|&&(_, p, _)| ont.pred_stats(p).cardinality);
+    let cap = pool.map_or(ont.node_count(), |&(_, p, _)| {
+        ont.pred_stats(p).cardinality as usize
+    });
     let mut relaxed = vec![false; edges.len()];
     'propagate: while let Some(n) = queue.pop_front() {
         for (i, &(s, p, d)) in edges.iter().enumerate() {
@@ -116,8 +118,7 @@ fn projected_candidates(ont: &Ontology, q: &SimpleQuery) -> Vec<NodeId> {
     };
     let mut cands: Vec<NodeId> = ont
         .edges_with_pred(p)
-        .iter()
-        .map(|&te| {
+        .map(|te| {
             let e = ont.edge(te);
             if s == proj {
                 e.src
@@ -611,11 +612,7 @@ mod tests {
         qb.edge(x, "a", y).edge(z, "b", x).project(x);
         let q = qb.build().unwrap();
         let a = o.pred_by_name("a").unwrap();
-        let mut pool: Vec<NodeId> = o
-            .edges_with_pred(a)
-            .iter()
-            .map(|&te| o.edge(te).src)
-            .collect();
+        let mut pool: Vec<NodeId> = o.edges_with_pred(a).map(|te| o.edge(te).src).collect();
         pool.sort_unstable();
         assert_eq!(projected_candidates(&o, &q), pool);
         assert_eq!(evaluate(&o, &q).len(), 3);

@@ -650,7 +650,7 @@ impl<'a> Matcher<'a> {
                 }
             }
             (None, None) => {
-                for &te in self.ont.edges_with_pred(p) {
+                for te in self.ont.edges_with_pred(p) {
                     if !self.edge_allowed(te) {
                         continue;
                     }
@@ -865,8 +865,7 @@ impl<'a> Matcher<'a> {
                 }
             }
             (None, None) => {
-                let pool: &[EdgeId] = self.ont.edges_with_pred(p);
-                for &te in pool {
+                for te in self.ont.edges_with_pred(p) {
                     if !self.edge_allowed(te) {
                         continue;
                     }

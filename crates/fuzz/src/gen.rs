@@ -11,8 +11,9 @@
 //! hand-rolled parser — quotes, backslashes, newlines, the formats' own
 //! delimiters, `%`, directives, and non-ASCII text.
 
+use questpro_graph::columnar::{EDGE_PAGE, NODE_PAGE};
 use questpro_graph::rng::Rng;
-use questpro_graph::{Ontology, OntologyBuilder};
+use questpro_graph::{EdgeId, NodeId, Ontology, OntologyBuilder};
 use questpro_query::{QueryBuilder, SimpleQuery, UnionQuery};
 use questpro_wire::Json;
 
@@ -316,6 +317,94 @@ pub fn store(rng: &mut impl Rng) -> questpro_store::TripleStore {
     b.build().expect("generated stores satisfy the invariants")
 }
 
+/// A store whose graph spans four to six node pages and one to three
+/// edge pages of the paged layout (see `questpro_graph::columnar`), so
+/// [`boundary_batch`] can aim at page boundaries. Triples are distinct by
+/// construction: edge `i` links node `i mod n` to the node `i div n + 1`
+/// places after it.
+pub fn paged_store(rng: &mut impl Rng) -> questpro_store::TripleStore {
+    let nodes = rng.random_range(4 * NODE_PAGE + 1..6 * NODE_PAGE);
+    let edges = rng.random_range(EDGE_PAGE + 1..3 * EDGE_PAGE);
+    let mut b = questpro_store::StoreBuilder::new();
+    for i in 0..edges {
+        let (s, t) = (i % nodes, (i % nodes + i / nodes + 1) % nodes);
+        let p = PAGED_PREDS[rng.random_range(0..PAGED_PREDS.len())];
+        b.add_triple(&format!("n{s}"), p, &format!("n{t}"));
+    }
+    b.build().expect("generated stores satisfy the invariants")
+}
+
+/// Predicates of [`paged_store`] worlds.
+const PAGED_PREDS: [&str; 3] = ["p0", "p1", "p2"];
+
+/// A batch against the paged world `ont` aimed at page boundaries: it
+/// joins the last node of a node page to the first of the next (after
+/// deleting one edge at each), deletes the edges on both sides of an
+/// edge-page boundary, and sometimes inserts enough fresh nodes to open
+/// a new node page or deletes enough edges to shrink the edge table
+/// across a page boundary. Inserts may collide with surviving edges;
+/// the oracle only asks both update paths to agree.
+pub fn boundary_batch(rng: &mut impl Rng, ont: &Ontology) -> questpro_graph::TripleDelta {
+    let triple = |e: EdgeId| {
+        let d = ont.edge(e);
+        [
+            ont.value_str(d.src).to_string(),
+            ont.pred_str(d.pred).to_string(),
+            ont.value_str(d.dst).to_string(),
+        ]
+    };
+    let mut delta = questpro_graph::TripleDelta::default();
+    let delete = |e: EdgeId, delta: &mut questpro_graph::TripleDelta| {
+        let t = triple(e);
+        if !delta.deletes.contains(&t) {
+            delta.deletes.push(t);
+        }
+    };
+    let (n, m) = (ont.node_count(), ont.edge_count());
+    let k = rng.random_range(1..n.div_ceil(NODE_PAGE).max(2)) * NODE_PAGE;
+    if k < n {
+        let (last, first) = (NodeId::from_usize(k - 1), NodeId::from_usize(k));
+        for &e in ont
+            .out_edges(last)
+            .iter()
+            .chain(ont.in_edges(first))
+            .take(2)
+        {
+            delete(e, &mut delta);
+        }
+        let p = PAGED_PREDS[rng.random_range(0..PAGED_PREDS.len())];
+        delta.inserts.push([
+            ont.value_str(last).to_string(),
+            p.to_string(),
+            ont.value_str(first).to_string(),
+        ]);
+    }
+    let j = rng.random_range(1..m.div_ceil(EDGE_PAGE).max(2)) * EDGE_PAGE;
+    for e in j.saturating_sub(2)..(j + 2).min(m) {
+        delete(EdgeId::from_usize(e), &mut delta);
+    }
+    if rng.random_bool(0.3) {
+        // Fresh pairs until the node table crosses into a new page.
+        let fresh = (NODE_PAGE - n % NODE_PAGE).div_ceil(2) + 1;
+        let tag = rng.random_range(0..u32::MAX);
+        for i in 0..fresh {
+            delta
+                .inserts
+                .push([format!("f{tag}_{i}"), "p0".into(), format!("g{tag}_{i}")]);
+        }
+    }
+    if rng.random_bool(0.3) {
+        // Enough tail deletes to end the edge table one page earlier.
+        for e in (m.saturating_sub(m % EDGE_PAGE + 1)..m).rev() {
+            delete(EdgeId::from_usize(e), &mut delta);
+        }
+    }
+    if delta.is_empty() {
+        delta.inserts.push(["f".into(), "p0".into(), "g".into()]);
+    }
+    delta
+}
+
 /// A random triple-update batch against `store`.
 ///
 /// Deletes are mostly drawn from the store's own rows (so chains of
@@ -494,6 +583,33 @@ mod tests {
             let o = ontology(&mut rng);
             assert!(o.edge_count() >= 1);
         }
+    }
+
+    #[test]
+    fn boundary_batches_cross_page_boundaries_and_mostly_apply() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (mut applied, mut new_node_page, mut fewer_edge_pages) = (0, false, false);
+        for _ in 0..40 {
+            let ont = paged_store(&mut rng)
+                .to_ontology()
+                .expect("paged stores assemble");
+            let (nodes, edges) = ont.pages().page_counts();
+            assert!(
+                nodes >= 4 && edges >= 2,
+                "{nodes} node pages, {edges} edge pages"
+            );
+            let delta = boundary_batch(&mut rng, &ont);
+            if let Ok((next, _)) = ont.apply_delta(&delta) {
+                applied += 1;
+                new_node_page |= next.pages().page_counts().0 > nodes;
+                fewer_edge_pages |= next.pages().page_counts().1 < edges;
+            }
+        }
+        assert!(
+            applied >= 30,
+            "only {applied} of 40 boundary batches applied"
+        );
+        assert!(new_node_page && fewer_edge_pages);
     }
 
     #[test]

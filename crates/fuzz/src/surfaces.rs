@@ -366,10 +366,10 @@ fn update_panics(b: &[u8]) -> bool {
 /// Checks a chained ontology version against the version it came from
 /// and against `scratch`, a from-scratch build of the same triples:
 ///
-/// * every spliced index equals a rebuild — the columnar block, each
-///   `by_pred` span against the ascending edge-table filter, each
-///   signature word against the OR of its span's predicates — and each
-///   predicate's statistics equal the scratch build's;
+/// * every page equals a rebuild, `edges_with_pred` walks the
+///   ascending edge-table filter, each signature word is the OR of its
+///   span's predicates, and each predicate's statistics equal the
+///   scratch build's;
 /// * the id contract: every edge of `prev` below the new survivor count
 ///   that the batch did not delete keeps its id.
 fn chained_matches_scratch(
@@ -378,15 +378,15 @@ fn chained_matches_scratch(
     next: &Ontology,
     scratch: &Ontology,
 ) -> Result<(), String> {
-    if next.columnar() != &next.rebuild_columnar() {
-        return Err("spliced columnar indexes != rebuild".into());
+    if next.pages() != &next.rebuild_pages() {
+        return Err("spliced pages != rebuild".into());
     }
     for p in (0..next.pred_count()).map(PredId::from_usize) {
         let scan: Vec<EdgeId> = next
             .edge_ids()
             .filter(|&e| next.edge(e).pred == p)
             .collect();
-        if next.edges_with_pred(p) != scan.as_slice() {
+        if !next.edges_with_pred(p).eq(scan.iter().copied()) {
             return Err(format!(
                 "by_pred span of {} != edge-table filter",
                 next.pred_str(p)
@@ -439,7 +439,9 @@ fn chained_matches_scratch(
 }
 
 /// One update iteration: a chain of random batches against a random
-/// store, applied both to the store and to one chained ontology. After
+/// store — one time in eight a store spanning several node and edge
+/// pages, with batches aimed at page boundaries — applied both to the
+/// store and to one chained ontology. After
 /// every *accepted* batch the incremental store must be byte-identical
 /// to a from-scratch rebuild of the chained ontology, the chained
 /// ontology's spliced indexes must equal a from-scratch build (see
@@ -449,13 +451,24 @@ fn chained_matches_scratch(
 /// JSON at the whole pipeline.
 fn update_iter(rng: &mut StdRng) -> Vec<Failure> {
     let mut out = Vec::new();
-    let mut store = gen::store(rng);
+    // One iteration in eight runs on a world spanning several pages,
+    // with batches aimed at page boundaries.
+    let paged = rng.random_bool(0.125);
+    let mut store = if paged {
+        gen::paged_store(rng)
+    } else {
+        gen::store(rng)
+    };
     let mut ont = store
         .to_ontology()
         .expect("a generated store always materializes");
     let mut last_body = None;
     for _ in 0..rng.random_range(1..4usize) {
-        let delta = gen::update_batch(rng, &store);
+        let delta = if paged && rng.random_bool(0.75) {
+            gen::boundary_batch(rng, &ont)
+        } else {
+            gen::update_batch(rng, &store)
+        };
         // Wire round-trip: render -> parse must be the identity (the
         // server and the CLI both speak this encoding).
         let body = questpro_wire::update::render_update(&delta);

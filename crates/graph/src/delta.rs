@@ -5,8 +5,10 @@
 //! sessions keep reading the version they pinned while new sessions see
 //! the head (copy-on-write versioning in `questpro-server`).
 //!
-//! A new version costs a verbatim copy of every index the batch leaves
-//! untouched plus work proportional to the batch. What that means, versus
+//! A version is two tables of `Arc`-shared pages (see
+//! [`columnar`](crate::columnar)), so a new version costs one reference
+//! count per page plus a rebuild of the pages the batch touches — work
+//! proportional to the batch, not to the graph. What that means, versus
 //! rebuilding from text:
 //!
 //! * the three label interners are reused append-only — no label is
@@ -22,23 +24,18 @@
 //!   `[new_len, old_len)`, also ascending. Inserts append from
 //!   `new_len`. So at most `k` edges change id, and every other survivor
 //!   keeps its id, wherever in the edge table the deletes fall;
-//! * every index is spliced, never recounted, and nothing is renumbered.
-//!   A moved edge is spliced as if its old id were deleted and its new id
-//!   inserted, so its endpoints count as touched. Each columnar SPO/OPS
-//!   orientation copies each run of untouched nodes with `memcpy` and
-//!   merges kept entries with moved and inserted ones only on touched
-//!   nodes. `by_pred` copies a predicate no deleted, moved or inserted
-//!   edge carries whole, and rebuilds a touched one from bulk-copied
-//!   segments around binary-searched positions (spans are ascending).
-//!   Signature words are copied, and only touched nodes are recomputed
-//!   from their new span. Per-predicate statistics are adjusted from the
-//!   touched `(node, pred)` pairs;
-//! * per-version node-indexed arrays keep their predecessor's capacity
-//!   (`retained_capacity`), so consecutive versions request identical
-//!   allocation sizes and reuse the blocks of evicted versions.
+//! * only touched pages are rebuilt, and every other page is shared with
+//!   the parent. A moved edge counts as deleted at its old id and
+//!   inserted at its hole, so its endpoints are touched too. An edge page
+//!   is rebuilt when it holds a hole or lies at or past `new_len` (the
+//!   tail); a node page when it holds an endpoint of a deleted, moved or
+//!   inserted edge, or a new node. A rebuilt node page merges each node's
+//!   kept entries with its moved and inserted ones; a rebuilt edge page
+//!   regroups its run by predicate. Per-predicate statistics are
+//!   adjusted from the touched `(node, pred)` pairs.
 //!
-//! Debug builds assert after every delta that the spliced columnar
-//! block, `by_pred` and signature words equal a from-scratch build.
+//! [`DeltaSummary::pages_copied`] counts the rebuilt pages. Debug builds
+//! assert after every delta that the pages equal a from-scratch build.
 //!
 //! The correctness oracle for all of this is differential: after any
 //! update sequence the incremental ontology must behave identically to
@@ -46,11 +43,14 @@
 //! unit tests here and fuzzed end-to-end by the `update` surface in
 //! `questpro-fuzz`).
 
+use crate::columnar::{EdgePage, NodePage, EDGE_PAGE, IN, NODE_PAGE, OUT};
+use std::sync::Arc;
+
 use crate::error::GraphError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{EdgeId, NodeId, PredId, ValueId};
 use crate::interner::Interner;
-use crate::ontology::{index_edges, EdgeCsr, EdgeData, NodeData, Ontology, ValueLookup};
+use crate::ontology::{EdgeData, NodeData, Ontology, ValueLookup};
 
 /// A batch of triple updates: deletes are applied first, then inserts.
 ///
@@ -99,32 +99,31 @@ pub struct DeltaSummary {
     /// docs), so anything holding old edge ids (explanations, cached
     /// matches) must be dropped or remapped.
     pub edge_ids_stable: bool,
+    /// Node and edge pages the new version built afresh; it shares every
+    /// other page with the version it came from.
+    pub pages_copied: usize,
 }
 
-/// Resolves `label` to a node in the new tables, appending a fresh
-/// untyped node if the value is new.
+/// Resolves `label` to a node of the new version, appending a fresh
+/// untyped node to `added` if the value is new.
 fn node_of(
     values: &mut Interner,
-    nodes: &mut Vec<NodeData>,
+    old: &Ontology,
+    added: &mut Vec<NodeData>,
     map: &mut Option<FxHashMap<ValueId, NodeId>>,
     label: &str,
 ) -> NodeId {
     let v = ValueId::new(values.intern(label));
+    let count = old.node_count() + added.len();
     let existing = match map {
-        None => {
-            if v.index() < nodes.len() {
-                Some(NodeId::new(v.raw()))
-            } else {
-                None
-            }
-        }
+        None => (v.index() < count).then(|| NodeId::new(v.raw())),
         Some(m) => m.get(&v).copied(),
     };
     if let Some(n) = existing {
         return n;
     }
-    let n = NodeId::from_usize(nodes.len());
-    nodes.push(NodeData { value: v, ty: None });
+    let n = NodeId::from_usize(count);
+    added.push(NodeData { value: v, ty: None });
     match map {
         Some(m) => {
             m.insert(v, n);
@@ -133,10 +132,15 @@ fn node_of(
         None => {
             // Identity broke (values interner held labels with no node);
             // materialize the map once and carry on.
-            let mut m: FxHashMap<ValueId, NodeId> = nodes[..n.index()]
-                .iter()
-                .enumerate()
-                .map(|(i, d)| (d.value, NodeId::from_usize(i)))
+            let mut m: FxHashMap<ValueId, NodeId> = (0..n.index())
+                .map(NodeId::from_usize)
+                .map(|i| {
+                    let d = match i.index().checked_sub(old.node_count()) {
+                        None => old.node(i),
+                        Some(k) => added[k],
+                    };
+                    (d.value, i)
+                })
                 .collect();
             m.insert(v, n);
             *map = Some(m);
@@ -145,191 +149,181 @@ fn node_of(
     n
 }
 
-/// Capacity policy for the per-version node-indexed arrays (node table,
-/// signature words, columnar offsets): a copy keeps its predecessor's
-/// capacity and grows by an eighth only when full.
-/// Consecutive versions then request identical allocation sizes, so the
-/// allocator can hand each new version the blocks of the version the
-/// registry just evicted instead of fragmenting the heap.
-pub(crate) fn retained_capacity(prev_cap: usize, len: usize) -> usize {
-    if len <= prev_cap {
-        prev_cap
-    } else {
-        len + len / 8
-    }
-}
-
-/// What a validated delta does to the edge table, shared by every index
-/// splice. With `k` deletes the new survivor count is `first_insert =
+/// What a validated delta does to the edge table, shared by every page
+/// rebuild. With `k` deletes the new survivor count is `first_insert =
 /// old_len − k`: surviving ids below it keep their id, each deleted id
 /// below it (a *hole*) takes, in order, the next surviving edge from
-/// `[first_insert, old_len)`, and inserts append from `first_insert` on.
-/// Every index treats a moved edge as deleted at its old id and inserted
-/// at its hole.
-pub(crate) struct Splice<'a> {
-    /// The previous version's edge table.
-    old_edges: &'a [EdgeData],
-    /// The new edge table: survivors with the holes filled, then inserts.
-    pub(crate) new_edges: &'a [EdgeData],
+/// `[first_insert, old_len)` (its *filler*), and inserts append from
+/// `first_insert` on. Every index treats a moved edge as deleted at its
+/// old id and inserted at its hole.
+struct Splice<'a> {
+    /// The previous version.
+    old: &'a Ontology,
     /// Deleted old edge ids, ascending.
     dels: &'a [u32],
     /// The holes: the prefix of `dels` below `first_insert`.
     holes: &'a [u32],
+    /// `fillers[i]` is the old id of the edge that moves into `holes[i]`.
+    fillers: Vec<u32>,
     /// New id of the first inserted edge (= the survivor count).
     first_insert: usize,
-    /// Nodes incident to a deleted, moved or inserted edge as its source
-    /// (`touched_out`) or target (`touched_in`), ascending: the only
-    /// nodes whose spans and signature words change.
-    pub(crate) touched_out: Vec<u32>,
-    pub(crate) touched_in: Vec<u32>,
-    /// Node and predicate counts of the new version.
-    pub(crate) node_count: usize,
-    pub(crate) pred_count: usize,
+    /// The inserted edges, in batch order.
+    inserted: Vec<EdgeData>,
 }
 
 impl<'a> Splice<'a> {
-    fn new(
-        old_edges: &'a [EdgeData],
-        new_edges: &'a [EdgeData],
-        dels: &'a [u32],
-        node_count: usize,
-        pred_count: usize,
-    ) -> Self {
-        let first_insert = old_edges.len() - dels.len();
-        let mut s = Splice {
-            old_edges,
-            new_edges,
-            dels,
-            holes: &dels[..dels.partition_point(|&d| (d as usize) < first_insert)],
-            first_insert,
-            touched_out: Vec::new(),
-            touched_in: Vec::new(),
-            node_count,
-            pred_count,
-        };
-        s.touched_out = s.touched(|d| d.src);
-        s.touched_in = s.touched(|d| d.dst);
-        s
-    }
-
-    /// The endpoints `end` of every deleted and placed edge, ascending.
-    /// A moved edge has the same endpoints at both ids, so its placement
-    /// covers its removal too.
-    fn touched(&self, end: fn(&EdgeData) -> NodeId) -> Vec<u32> {
-        let mut v: Vec<u32> = self
-            .deleted_edges()
-            .chain(self.placed().map(|(_, d)| d))
-            .map(|d| end(d).raw())
+    fn new(old: &'a Ontology, dels: &'a [u32], inserted: Vec<EdgeData>) -> Self {
+        let old_len = old.edge_count();
+        let first_insert = old_len - dels.len();
+        let split = dels.partition_point(|&d| (d as usize) < first_insert);
+        let (holes, tail_dels) = dels.split_at(split);
+        let fillers: Vec<u32> = (first_insert as u32..old_len as u32)
+            .filter(|e| tail_dels.binary_search(e).is_err())
             .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        debug_assert_eq!(fillers.len(), holes.len());
+        Splice {
+            old,
+            dels,
+            holes,
+            fillers,
+            first_insert,
+            inserted,
+        }
     }
 
-    /// The inserted edges (ids `first_insert..`).
-    pub(crate) fn inserted(&self) -> &'a [EdgeData] {
-        &self.new_edges[self.first_insert..]
+    /// Number of edges in the new version.
+    fn edge_count(&self) -> usize {
+        self.first_insert + self.inserted.len()
     }
 
     /// The deleted edges, by ascending old id.
-    pub(crate) fn deleted_edges(&self) -> impl Iterator<Item = &'a EdgeData> + '_ {
-        self.dels.iter().map(|&e| &self.old_edges[e as usize])
+    fn deleted_edges(&self) -> impl Iterator<Item = EdgeData> + '_ {
+        self.dels.iter().map(|&e| self.old.edge(EdgeId::new(e)))
     }
 
     /// Every edge at a new id, with that id: the moved edges at their
     /// holes, then the inserts.
-    pub(crate) fn placed(&self) -> impl Iterator<Item = (EdgeId, &'a EdgeData)> + '_ {
-        let new_edges = self.new_edges;
-        self.holes
+    fn placed(&self) -> impl Iterator<Item = (EdgeId, EdgeData)> + '_ {
+        let moved = self
+            .holes
             .iter()
-            .map(move |&h| (EdgeId::new(h), &new_edges[h as usize]))
-            .chain(
-                self.inserted()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, d)| (EdgeId::from_usize(self.first_insert + i), d)),
-            )
+            .zip(&self.fillers)
+            .map(|(&h, &f)| (EdgeId::new(h), self.old.edge(EdgeId::new(f))));
+        let inserts = self
+            .inserted
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| (EdgeId::from_usize(self.first_insert + i), d));
+        moved.chain(inserts)
     }
 
     /// Whether old edge `e` keeps its id: it is below `first_insert` and
     /// not deleted. Every other old edge was deleted or moved.
     #[inline]
-    pub(crate) fn keeps(&self, e: EdgeId) -> bool {
+    fn keeps(&self, e: EdgeId) -> bool {
         e.index() < self.first_insert && self.holes.binary_search(&e.raw()).is_err()
     }
 
-    /// `by_pred` after the delta. A predicate no deleted, moved or
-    /// inserted edge carries is copied whole. Otherwise its old span
-    /// (ascending) is cut at `first_insert` — everything past it was
-    /// deleted or moved — each hole is removed from its old edge's
-    /// predicate and added to its filler's at a binary-searched
-    /// position, with the segments between copied in bulk, and the
-    /// inserts are appended.
-    fn by_pred(&self, old: &EdgeCsr) -> EdgeCsr {
-        // (pred, id, added), so at one id a removal precedes an addition.
-        let mut edits: Vec<(PredId, u32, bool)> = Vec::with_capacity(2 * self.holes.len());
-        for &h in self.holes {
-            edits.push((self.old_edges[h as usize].pred, h, false));
-            edits.push((self.new_edges[h as usize].pred, h, true));
-        }
-        edits.sort_unstable();
-        let mut inserts: Vec<(PredId, EdgeId)> = self
-            .inserted()
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.pred, EdgeId::from_usize(self.first_insert + i)))
-            .collect();
-        inserts.sort_unstable();
-        let mut off = Vec::with_capacity(self.pred_count + 1);
-        let mut ids = Vec::with_capacity(self.new_edges.len());
-        off.push(0);
-        let old_pred_count = old.off.len() - 1;
-        let cut = self.first_insert as u32;
-        let (mut j, mut k) = (0, 0);
-        for p in 0..self.pred_count {
-            let mut span = if p < old_pred_count { old.span(p) } else { &[] };
-            if span.last().is_some_and(|e| e.raw() >= cut) {
-                span = &span[..span.partition_point(|e| e.raw() < cut)];
-            }
-            while j < edits.len() && edits[j].0.index() == p {
-                let (_, id, added) = edits[j];
-                let at = span.partition_point(|e| e.raw() < id);
-                ids.extend_from_slice(&span[..at]);
-                if added {
-                    ids.push(EdgeId::new(id));
-                    span = &span[at..];
-                } else {
-                    debug_assert_eq!(span.get(at).map(|e| e.raw()), Some(id));
-                    span = &span[at + 1..];
-                }
-                j += 1;
-            }
-            ids.extend_from_slice(span);
-            while k < inserts.len() && inserts[k].0.index() == p {
-                ids.push(inserts[k].1);
-                k += 1;
-            }
-            off.push(ids.len() as u32);
-        }
-        EdgeCsr { off, ids }
+    /// Indexes of the edge pages the delta rewrites, ascending: each page
+    /// holding a hole, and every page from the survivor count on.
+    fn edge_pages(&self) -> Vec<usize> {
+        let mut pages: Vec<usize> = self.holes.iter().map(|&h| h as usize / EDGE_PAGE).collect();
+        pages.extend(self.first_insert / EDGE_PAGE..self.edge_count().div_ceil(EDGE_PAGE));
+        pages.dedup();
+        pages
     }
 
-    /// A signature vector after the delta: the old words copied, new
-    /// nodes zeroed, touched nodes recomputed from their new span.
-    fn signatures(
-        &self,
-        old: &Vec<u64>,
-        touched: &[u32],
-        bits: impl Fn(NodeId) -> u64,
-    ) -> Vec<u64> {
-        let mut sig = Vec::with_capacity(retained_capacity(old.capacity(), self.node_count));
-        sig.extend_from_slice(old);
-        sig.resize(self.node_count, 0);
-        for &n in touched {
-            sig[n as usize] = bits(NodeId::new(n));
+    /// Edge page `j` of the new version: the old page's survivors with
+    /// its holes filled, then the inserts that land in it.
+    fn edge_page(&self, j: usize, count: &mut [u32]) -> Arc<EdgePage> {
+        let lo = j * EDGE_PAGE;
+        let hi = (lo + EDGE_PAGE).min(self.edge_count());
+        let kept = hi.min(self.first_insert);
+        let mut rows: Vec<EdgeData> = Vec::with_capacity(hi - lo);
+        if lo < kept {
+            rows.extend_from_slice(&self.old.pages.edges[j].rows()[..kept - lo]);
+            let at = |e: usize| self.holes.partition_point(|&h| (h as usize) < e);
+            let (a, b) = (at(lo), at(kept));
+            for (&h, &f) in self.holes[a..b].iter().zip(&self.fillers[a..b]) {
+                rows[h as usize - lo] = self.old.edge(EdgeId::new(f));
+            }
         }
-        sig
+        if hi > self.first_insert {
+            let from = lo.max(self.first_insert) - self.first_insert;
+            rows.extend_from_slice(&self.inserted[from..hi - self.first_insert]);
+        }
+        EdgePage::new(lo, &rows, count)
     }
+
+    /// Node page `k` of the new version, which holds `node_count` nodes
+    /// (`added` are the new ones). Untouched nodes keep their rows, spans
+    /// and signature words verbatim, runs of them copied in bulk; a
+    /// touched node merges its kept old entries by (pred, edge id) with
+    /// its placed ones and has its signature word recomputed. A moved
+    /// edge's hole lies among the kept ids, so the merge compares full
+    /// (pred, id) keys.
+    fn node_page(
+        &self,
+        k: usize,
+        node_count: usize,
+        added: &[NodeData],
+        touched: [Touched<'_>; 2],
+    ) -> Arc<NodePage> {
+        let (lo, hi) = (k * NODE_PAGE, ((k + 1) * NODE_PAGE).min(node_count));
+        let old = self.old.pages.nodes.get(k).map(|p| &**p);
+        let placed = touched[OUT].placed.len() + touched[IN].placed.len();
+        let entries = old.map_or(0, NodePage::entries_len) + placed;
+        let mut page = NodePage::blank(old.map_or(&[], NodePage::rows), entries);
+        let old_count = self.old.node_count();
+        if hi > old_count {
+            page.add_nodes(&added[lo.max(old_count) - old_count..hi - old_count]);
+        }
+        if let Some(old) = old {
+            page.copy_sigs(old);
+        }
+        for (d, Touched { nodes, placed }) in touched.into_iter().enumerate() {
+            let below = |n: usize| move |&x: &u32| (x as usize) < n;
+            let nodes = &nodes[nodes.partition_point(below(lo))..nodes.partition_point(below(hi))];
+            let mut placed = &placed[placed.partition_point(|x| (x.0 as usize) < lo)..];
+            page.open(d);
+            let mut from = 0;
+            for &n in nodes {
+                let i = n as usize - lo;
+                page.copy_slots(old, d, from..i);
+                let (mine, rest) = placed.split_at(placed.iter().take_while(|x| x.0 == n).count());
+                placed = rest;
+                let mut mine = mine.iter().map(|&(_, p, e)| (p, e)).peekable();
+                let kept = old
+                    .filter(|o| i < o.len())
+                    .into_iter()
+                    .flat_map(|o| o.entries(d, i))
+                    .filter(|&(_, e)| self.keeps(e));
+                for (p, e) in kept {
+                    while let Some((q, f)) = mine.next_if(|&x| x < (p, e)) {
+                        page.push(q, f);
+                    }
+                    page.push(p, e);
+                }
+                for (q, f) in mine {
+                    page.push(q, f);
+                }
+                page.close(d, i);
+                page.seal_sig(d, i);
+                from = i + 1;
+            }
+            page.copy_slots(old, d, from..hi - lo);
+        }
+        Arc::new(page)
+    }
+}
+
+/// One orientation's view of a delta: the nodes whose spans change
+/// (endpoints of deleted and placed edges), ascending, and every placed
+/// edge as `(node, pred, new id)`, sorted.
+#[derive(Clone, Copy)]
+struct Touched<'a> {
+    nodes: &'a [u32],
+    placed: &'a [(u32, PredId, EdgeId)],
 }
 
 impl Ontology {
@@ -337,8 +331,8 @@ impl Ontology {
     /// ontology version and a summary of what changed.
     ///
     /// The receiver is untouched (copy-on-write). See the module docs
-    /// for the id-stability contract and what is maintained
-    /// incrementally.
+    /// for the id-stability contract and what is shared with the
+    /// receiver.
     ///
     /// # Errors
     /// [`GraphError::MissingTriple`] when a delete names an absent
@@ -347,7 +341,7 @@ impl Ontology {
     /// surviving edge or another insert in the batch. On error, nothing
     /// is applied.
     pub fn apply_delta(&self, delta: &TripleDelta) -> Result<(Ontology, DeltaSummary), GraphError> {
-        let old_node_count = self.nodes.len();
+        let old_node_count = self.node_count();
         // Deleted edge ids, in batch order until sorted below.
         let mut dels: Vec<u32> = Vec::with_capacity(delta.deletes.len());
         let mut deleted: FxHashSet<EdgeId> = FxHashSet::default();
@@ -369,17 +363,12 @@ impl Ontology {
             pred_sig |= self.pred_bit(pid);
         }
         dels.sort_unstable();
-        // Append-only reuse of the interners and node table. An insert
-        // names at most two new values and one new predicate.
-        let new_values = 2 * delta.inserts.len();
-        let mut values = self.values.fork(new_values);
+        // Append-only reuse of the interners. An insert names at most two
+        // new values and one new predicate.
+        let mut values = self.values.fork(2 * delta.inserts.len());
         let mut preds = self.preds.fork(delta.inserts.len());
         let types = self.types.clone();
-        let mut nodes = Vec::with_capacity(retained_capacity(
-            self.nodes.capacity(),
-            old_node_count + new_values,
-        ));
-        nodes.extend_from_slice(&self.nodes);
+        let mut added: Vec<NodeData> = Vec::new();
         let mut value_map: Option<FxHashMap<ValueId, NodeId>> = match &self.value_to_node {
             ValueLookup::Identity => None,
             ValueLookup::Map(m) => Some(m.clone()),
@@ -387,8 +376,8 @@ impl Ontology {
         let mut batch_set: FxHashSet<(NodeId, PredId, NodeId)> = FxHashSet::default();
         let mut inserted: Vec<EdgeData> = Vec::with_capacity(delta.inserts.len());
         for [s, p, o] in &delta.inserts {
-            let sn = node_of(&mut values, &mut nodes, &mut value_map, s);
-            let on = node_of(&mut values, &mut nodes, &mut value_map, o);
+            let sn = node_of(&mut values, self, &mut added, &mut value_map, s);
+            let on = node_of(&mut values, self, &mut added, &mut value_map, o);
             let pid = PredId::new(preds.intern(p));
             let duplicate = || GraphError::DuplicateEdge {
                 src: s.clone(),
@@ -417,59 +406,128 @@ impl Ontology {
             });
             pred_sig |= 1u64 << (pid.raw() & 63);
         }
-        // Survivors keep their slots; the surviving edges past the new
-        // length fill the holes in order; inserts append.
-        let new_len = self.edges.len() - dels.len();
-        let holes = dels.partition_point(|&d| (d as usize) < new_len);
-        let mut edges: Vec<EdgeData> = Vec::with_capacity(new_len + inserted.len());
-        edges.extend_from_slice(&self.edges[..new_len]);
-        let tail_dels = &dels[holes..];
-        let fillers =
-            (new_len..self.edges.len()).filter(|&e| tail_dels.binary_search(&(e as u32)).is_err());
-        for (&h, f) in dels[..holes].iter().zip(fillers) {
-            edges[h as usize] = self.edges[f];
+        let splice = Splice::new(self, &dels, inserted);
+        let node_count = old_node_count + added.len();
+        let mut pages = self.pages.clone();
+        pages.node_count = node_count;
+        pages.edge_count = splice.edge_count();
+
+        // Edge pages: the tail is cut at the new length, then every
+        // page holding a hole or lying past the survivor count is rebuilt.
+        let mut count = vec![0u32; preds.len()];
+        let edge_pages = splice.edge_pages();
+        pages
+            .edges
+            .truncate(splice.edge_count().div_ceil(EDGE_PAGE));
+        for &j in &edge_pages {
+            let page = splice.edge_page(j, &mut count);
+            match pages.edges.get_mut(j) {
+                Some(slot) => *slot = page,
+                None => pages.edges.push(page),
+            }
         }
-        edges.extend_from_slice(&inserted);
-        let splice = Splice::new(&self.edges, &edges, &dels, nodes.len(), preds.len());
-        let columnar = self.columnar.apply_delta(&splice);
-        let by_pred_csr = splice.by_pred(&self.by_pred_csr);
-        let out_sig = splice.signatures(&self.out_sig, &splice.touched_out, |n| {
-            columnar.out_pred_bits(n)
-        });
-        let in_sig = splice.signatures(&self.in_sig, &splice.touched_in, |n| {
-            columnar.in_pred_bits(n)
-        });
+
+        // Node pages: every page holding an endpoint of a deleted or
+        // placed edge, and the pages new nodes land in.
+        let (mut placed_out, mut placed_in): (Vec<_>, Vec<_>) = splice
+            .placed()
+            .map(|(e, d)| ((d.src.raw(), d.pred, e), (d.dst.raw(), d.pred, e)))
+            .unzip();
+        placed_out.sort_unstable();
+        placed_in.sort_unstable();
+        let touched = |end: fn(&EdgeData) -> NodeId| {
+            let mut v: Vec<u32> = splice
+                .deleted_edges()
+                .chain(splice.placed().map(|(_, d)| d))
+                .map(|d| end(&d).raw())
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let (touched_out, touched_in) = (touched(|d| d.src), touched(|d| d.dst));
+        let mut node_pages: Vec<usize> = touched_out
+            .iter()
+            .chain(&touched_in)
+            .map(|&n| n as usize / NODE_PAGE)
+            .chain(old_node_count / NODE_PAGE..node_count.div_ceil(NODE_PAGE))
+            .collect();
+        node_pages.sort_unstable();
+        node_pages.dedup();
+        let touched = [
+            Touched {
+                nodes: &touched_out,
+                placed: &placed_out,
+            },
+            Touched {
+                nodes: &touched_in,
+                placed: &placed_in,
+            },
+        ];
+        for &k in &node_pages {
+            let page = splice.node_page(k, node_count, &added, touched);
+            match pages.nodes.get_mut(k) {
+                Some(slot) => *slot = page,
+                None => pages.nodes.push(page),
+            }
+        }
+
+        // Statistics: cardinality by signed per-pred counts; distinct
+        // subject/object counts by re-testing span emptiness for the
+        // touched (node, pred) pairs only.
+        pages.stats.resize(preds.len(), Default::default());
+        let mut pairs: [Vec<(NodeId, PredId)>; 2] = Default::default();
+        for d in splice.deleted_edges() {
+            pages.stats[d.pred.index()].cardinality -= 1;
+            pairs[OUT].push((d.src, d.pred));
+            pairs[IN].push((d.dst, d.pred));
+        }
+        for &d in &splice.inserted {
+            pages.stats[d.pred.index()].cardinality += 1;
+            pairs[OUT].push((d.src, d.pred));
+            pairs[IN].push((d.dst, d.pred));
+        }
+        for (d, pairs) in pairs.iter_mut().enumerate() {
+            pairs.sort_unstable();
+            pairs.dedup();
+            for &(n, p) in pairs.iter() {
+                let was = n.index() < old_node_count && !self.pages.with_pred(d, n, p).is_empty();
+                let now = !pages.with_pred(d, n, p).is_empty();
+                let st = &mut pages.stats[p.index()];
+                let count = if d == OUT {
+                    &mut st.distinct_subjects
+                } else {
+                    &mut st.distinct_objects
+                };
+                match (was, now) {
+                    (false, true) => *count += 1,
+                    (true, false) => *count -= 1,
+                    _ => {}
+                }
+            }
+        }
+
         let summary = DeltaSummary {
-            inserted: inserted.len(),
+            inserted: splice.inserted.len(),
             deleted: dels.len(),
-            nodes_added: nodes.len() - old_node_count,
+            nodes_added: added.len(),
             pred_sig,
             edge_ids_stable: dels.is_empty(),
+            pages_copied: edge_pages.len() + node_pages.len(),
         };
         let next = Ontology {
             values,
             preds,
             types,
-            nodes,
-            edges,
-            by_pred_csr,
             value_to_node: match value_map {
                 None => ValueLookup::Identity,
                 Some(m) => ValueLookup::Map(m),
             },
-            out_sig,
-            in_sig,
-            columnar,
+            pages,
         };
-        debug_assert_eq!(next.columnar, next.rebuild_columnar());
         debug_assert!(
-            index_edges(next.nodes.len(), next.preds.len(), &next.edges)
-                == (
-                    next.by_pred_csr.clone(),
-                    next.out_sig.clone(),
-                    next.in_sig.clone()
-                ),
-            "spliced by_pred/signature indexes drifted from a rebuild"
+            next.pages == next.rebuild_pages(),
+            "spliced pages drifted from a rebuild"
         );
         Ok((next, summary))
     }
@@ -478,7 +536,6 @@ impl Ontology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::EdgeId;
     use crate::rng::{Rng, SplitMix64};
     use crate::triples;
 
@@ -504,11 +561,7 @@ mod tests {
     /// it; every index and statistic must agree with the rebuilt graph.
     fn assert_matches_scratch(inc: &Ontology) {
         inc.validate().expect("incremental result validates");
-        assert_eq!(
-            inc.columnar,
-            inc.rebuild_columnar(),
-            "columnar delta drifted"
-        );
+        assert_eq!(inc.pages, inc.rebuild_pages(), "paged delta drifted");
         let scratch = triples::parse(&triples::serialize(inc)).expect("reparse");
         // The text format cannot carry isolated untyped nodes (a delete
         // may strand one); everything else must agree.
@@ -532,12 +585,7 @@ mod tests {
     /// Every spliced index equals its from-scratch build, and the
     /// adjacency spans hold exactly the edge table's incident edges.
     fn assert_spliced_indexes_match_rebuild(o: &Ontology) {
-        assert_eq!(o.columnar, o.rebuild_columnar(), "columnar splice drifted");
-        assert!(
-            index_edges(o.nodes.len(), o.preds.len(), &o.edges)
-                == (o.by_pred_csr.clone(), o.out_sig.clone(), o.in_sig.clone()),
-            "by_pred/signature splice drifted"
-        );
+        assert_eq!(o.pages, o.rebuild_pages(), "page splice drifted");
         let mut outs = vec![Vec::new(); o.node_count()];
         let mut ins = vec![Vec::new(); o.node_count()];
         for e in o.edge_ids() {
@@ -932,6 +980,139 @@ mod tests {
         assert!(new_pred && same_batch_node && stranded);
         assert!(o.pred_by_name("fresh10").is_some());
         assert!(o.node_by_value("new20").is_some());
+    }
+
+    /// A live-shaped chain over a world of ~10⁴ nodes: each batch adds
+    /// four papers (sixteen triples) and deletes what the batch three
+    /// places earlier added. A page that holds no touched node or edge
+    /// must be the parent's page itself, the fresh pages are bounded by
+    /// the touched ones, and dropping the parent frees exactly its
+    /// private pages.
+    #[test]
+    fn live_batches_share_every_untouched_page_with_the_parent() {
+        use std::sync::{Arc, Weak};
+        /// Per page of `b`: whether it is `a`'s page at the same index.
+        fn shared<T>(a: &[Arc<T>], b: &[Arc<T>]) -> Vec<bool> {
+            (0..b.len())
+                .map(|i| a.get(i).is_some_and(|p| Arc::ptr_eq(p, &b[i])))
+                .collect()
+        }
+        fn weak<T>(ps: &[Arc<T>]) -> Vec<Weak<T>> {
+            ps.iter().map(Arc::downgrade).collect()
+        }
+        /// Whether `w` is still page `i` of `ps`.
+        fn kept<T>(ps: &[Arc<T>], i: usize, w: &Weak<T>) -> bool {
+            ps.get(i)
+                .is_some_and(|p| std::ptr::eq(Arc::as_ptr(p), w.as_ptr()))
+        }
+        let mut rng = SplitMix64::seed_from_u64(0x9a6e);
+        let mut b = Ontology::builder();
+        for i in 0..6000u64 {
+            let paper = format!("paper{i}");
+            let a1 = rng.next_u64() % 4000;
+            let a2 = (a1 + 1 + rng.next_u64() % 3999) % 4000;
+            b.edge(&paper, "creator", &format!("author{a1}")).unwrap();
+            b.edge(&paper, "creator", &format!("author{a2}")).unwrap();
+            b.edge(&paper, "year", &format!("y{}", rng.next_u64() % 70))
+                .unwrap();
+            b.edge(&paper, "journal", &format!("j{}", rng.next_u64() % 400))
+                .unwrap();
+        }
+        let mut o = b.build();
+        assert!(o.node_count() >= 10_000);
+        let batch_inserts = |k: u64| -> Vec<[String; 3]> {
+            let mut rng = SplitMix64::seed_from_u64(k);
+            (0..4)
+                .flat_map(|j| {
+                    let paper = format!("live{k}x{j}");
+                    let a = rng.next_u64() % 4000;
+                    [
+                        ("creator", format!("author{a}")),
+                        ("creator", format!("author{}", (a + 1) % 4000)),
+                        ("year", format!("y{}", rng.next_u64() % 70)),
+                        ("journal", format!("j{}", rng.next_u64() % 400)),
+                    ]
+                    .map(|(p, t)| [paper.clone(), p.to_string(), t])
+                })
+                .collect()
+        };
+        for k in 0..12u64 {
+            let d = TripleDelta {
+                inserts: batch_inserts(k),
+                deletes: if k >= 3 {
+                    batch_inserts(k - 3)
+                } else {
+                    Vec::new()
+                },
+            };
+            let (next, sum) = o.apply_delta(&d).unwrap();
+            assert_eq!(
+                (sum.inserted, sum.deleted),
+                (16, if k >= 3 { 16 } else { 0 })
+            );
+            // Touched, independently of the implementation: edge slots
+            // whose row differs between the versions, their endpoints in
+            // either version, and the new nodes.
+            let (old_m, new_m) = (o.edge_count(), next.edge_count());
+            let mut edge_pages = std::collections::BTreeSet::new();
+            let mut node_pages = std::collections::BTreeSet::new();
+            for e in (0..old_m.max(new_m)).map(EdgeId::from_usize) {
+                let before = (e.index() < old_m).then(|| o.edge(e));
+                let after = (e.index() < new_m).then(|| next.edge(e));
+                if before != after {
+                    edge_pages.insert(e.index() / EDGE_PAGE);
+                    for d in before.into_iter().chain(after) {
+                        node_pages.insert(d.src.index() / NODE_PAGE);
+                        node_pages.insert(d.dst.index() / NODE_PAGE);
+                    }
+                }
+            }
+            node_pages.extend((o.node_count()..next.node_count()).map(|n| n / NODE_PAGE));
+            let node_shared = shared(&o.pages.nodes, &next.pages.nodes);
+            let edge_shared = shared(&o.pages.edges, &next.pages.edges);
+            for (k, &s) in node_shared.iter().enumerate() {
+                assert!(
+                    s || node_pages.contains(&k),
+                    "node page {k} copied untouched"
+                );
+            }
+            for (j, &s) in edge_shared.iter().enumerate() {
+                assert!(
+                    s || edge_pages.contains(&j),
+                    "edge page {j} copied untouched"
+                );
+            }
+            let fresh = node_shared
+                .iter()
+                .chain(&edge_shared)
+                .filter(|&&s| !s)
+                .count();
+            assert_eq!(sum.pages_copied, fresh);
+            assert!(fresh <= node_pages.len() + edge_pages.len());
+            assert!(
+                2 * fresh < node_shared.len() + edge_shared.len(),
+                "{fresh} fresh pages"
+            );
+            // Dropping the parent frees its private pages and nothing else.
+            let (old_nodes, old_edges) = (weak(&o.pages.nodes), weak(&o.pages.edges));
+            drop(o);
+            for (i, w) in old_nodes.iter().enumerate() {
+                assert_eq!(
+                    w.upgrade().is_some(),
+                    kept(&next.pages.nodes, i, w),
+                    "node page {i}"
+                );
+            }
+            for (j, w) in old_edges.iter().enumerate() {
+                assert_eq!(
+                    w.upgrade().is_some(),
+                    kept(&next.pages.edges, j, w),
+                    "edge page {j}"
+                );
+            }
+            o = next;
+        }
+        assert_matches_scratch(&o);
     }
 
     #[test]

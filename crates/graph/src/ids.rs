@@ -20,7 +20,7 @@ macro_rules! define_id {
         impl $name {
             /// Creates an id from a raw index.
             #[inline]
-            pub fn new(raw: u32) -> Self {
+            pub const fn new(raw: u32) -> Self {
                 Self(raw)
             }
 

@@ -41,7 +41,7 @@ pub mod rng;
 pub mod subgraph;
 pub mod triples;
 
-pub use columnar::{ColumnarIndexes, PredStats};
+pub use columnar::{Pages, PredEdges, PredStats, SortedSpans};
 pub use delta::{DeltaSummary, TripleDelta};
 pub use error::GraphError;
 pub use explanation::{ExampleSet, Explanation};

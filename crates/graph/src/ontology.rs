@@ -9,17 +9,19 @@
 //!
 //! Once built, an [`Ontology`] is immutable and exposes the indexes the
 //! query engine needs: per-node in/out adjacency (the columnar SPO/OPS
-//! spans of [`ColumnarIndexes`]), a per-predicate edge list, and
-//! value→node lookup. Every index is a flat CSR array (offsets plus
-//! id columns) built by linear counting passes — no per-node
-//! allocations, which is what keeps snapshot cold-start at memcpy speed
+//! spans), a per-predicate edge list, and value→node lookup. The rows and
+//! indexes live in fixed-size copy-on-write pages ([`Pages`]): node pages
+//! hold a run of nodes with their spans, edge pages a run of edges with
+//! their per-predicate grouping. Every construction path writes the pages
+//! directly in linear counting passes — no comparison sort and no flat
+//! array split afterwards, which keeps snapshot cold-start at copy speed
 //! (see `questpro-store`). Point-in-time copies with batched triple
 //! inserts/deletes are produced by [`Ontology::apply_delta`](crate::delta)
-//! without re-interning.
+//! without re-interning, and share every page the batch leaves alone.
 
 use std::collections::HashMap;
 
-use crate::columnar::{ColumnarIndexes, PredStats};
+use crate::columnar::{edge_pages, Pages, PredEdges, PredStats, SortedSpans, IN, OUT};
 use crate::error::GraphError;
 use crate::fxhash::FxHashMap;
 use crate::ids::{EdgeId, NodeId, PredId, TypeId, ValueId};
@@ -43,45 +45,6 @@ pub struct EdgeData {
     pub dst: NodeId,
     /// Interned edge predicate (the image of `L_E`).
     pub pred: PredId,
-}
-
-/// Flat CSR edge grouping: group `i` owns `ids[off[i]..off[i+1]]`, with
-/// edge ids ascending within each group (insertion order).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct EdgeCsr {
-    pub(crate) off: Vec<u32>,
-    pub(crate) ids: Vec<EdgeId>,
-}
-
-impl EdgeCsr {
-    #[inline]
-    pub(crate) fn span(&self, i: usize) -> &[EdgeId] {
-        &self.ids[self.off[i] as usize..self.off[i + 1] as usize]
-    }
-}
-
-/// Builds one CSR grouping of the edge table by `key` in two linear
-/// passes (count, place); edge ids stay ascending within each group.
-pub(crate) fn group_edges(
-    groups: usize,
-    edges: &[EdgeData],
-    key: impl Fn(&EdgeData) -> usize,
-) -> EdgeCsr {
-    let mut off = vec![0u32; groups + 1];
-    for d in edges {
-        off[key(d) + 1] += 1;
-    }
-    for i in 0..groups {
-        off[i + 1] += off[i];
-    }
-    let mut ids = vec![EdgeId::new(0); edges.len()];
-    let mut cur: Vec<u32> = off[..groups].to_vec();
-    for (i, d) in edges.iter().enumerate() {
-        let c = &mut cur[key(d)];
-        ids[*c as usize] = EdgeId::from_usize(i);
-        *c += 1;
-    }
-    EdgeCsr { off, ids }
 }
 
 /// Value → node lookup.
@@ -136,34 +99,24 @@ pub struct Ontology {
     pub(crate) values: Interner,
     pub(crate) preds: Interner,
     pub(crate) types: Interner,
-    pub(crate) nodes: Vec<NodeData>,
-    pub(crate) edges: Vec<EdgeData>,
-    pub(crate) by_pred_csr: EdgeCsr,
     pub(crate) value_to_node: ValueLookup,
-    // Per-node predicate signatures: bit `pred_bit(p)` is set iff the
-    // node has an incident out/in edge labeled `p` (modulo the 64-bit
-    // fold, so the test is a sound necessary condition only).
-    pub(crate) out_sig: Vec<u64>,
-    pub(crate) in_sig: Vec<u64>,
-    pub(crate) columnar: ColumnarIndexes,
+    pub(crate) pages: Pages,
 }
 
-/// Builds the per-predicate CSR plus the per-node signature words in
-/// linear counting passes over the edge table.
-pub(crate) fn index_edges(
-    node_count: usize,
-    pred_count: usize,
-    edges: &[EdgeData],
-) -> (EdgeCsr, Vec<u64>, Vec<u64>) {
-    let by_pred_csr = group_edges(pred_count, edges, |d| d.pred.index());
-    let mut out_sig = vec![0u64; node_count];
-    let mut in_sig = vec![0u64; node_count];
-    for d in edges {
-        let bit = 1u64 << (d.pred.raw() & 63);
-        out_sig[d.src.index()] |= bit;
-        in_sig[d.dst.index()] |= bit;
+/// Checks that edge `i` references nodes below `n` and a predicate
+/// below `pred_count`.
+fn check_edge(i: usize, d: &EdgeData, n: usize, pred_count: usize) -> Result<(), GraphError> {
+    if d.src.index() >= n || d.dst.index() >= n {
+        return Err(GraphError::UnknownNode {
+            what: format!("edge {i} references a node id out of range"),
+        });
     }
-    (by_pred_csr, out_sig, in_sig)
+    if d.pred.index() >= pred_count {
+        return Err(GraphError::UnknownNode {
+            what: format!("edge {i} references pred id {} out of range", d.pred.raw()),
+        });
+    }
+    Ok(())
 }
 
 impl Ontology {
@@ -185,10 +138,6 @@ impl Ontology {
     /// for every node (true for all snapshot and builder tables), no
     /// value→node map is materialized at all.
     ///
-    /// `columnar` may carry indexes mapped straight from the store's
-    /// SPO/OSP arrays (see [`ColumnarIndexes::from_sorted_parts`]); when
-    /// `None`, the columnar block is rebuilt from the edge table.
-    ///
     /// # Errors
     /// Returns [`GraphError::UnknownNode`] when any node/pred/type/value
     /// id is out of range and [`GraphError::DuplicateValue`] when two
@@ -199,7 +148,6 @@ impl Ontology {
         types: Interner,
         nodes: Vec<NodeData>,
         edges: Vec<EdgeData>,
-        columnar: Option<ColumnarIndexes>,
     ) -> Result<Self, GraphError> {
         let n = nodes.len();
         for (i, d) in nodes.iter().enumerate() {
@@ -238,41 +186,105 @@ impl Ontology {
             ValueLookup::Map(map)
         };
         for (i, d) in edges.iter().enumerate() {
-            if d.src.index() >= n || d.dst.index() >= n {
-                return Err(GraphError::UnknownNode {
-                    what: format!("edge {i} references a node id out of range"),
-                });
-            }
-            if d.pred.index() >= preds.len() {
-                return Err(GraphError::UnknownNode {
-                    what: format!("edge {i} references pred id {} out of range", d.pred.raw()),
-                });
-            }
+            check_edge(i, d, n, preds.len())?;
         }
-        let (by_pred_csr, out_sig, in_sig) = index_edges(n, preds.len(), &edges);
-        let columnar = columnar.unwrap_or_else(|| ColumnarIndexes::build(n, &edges, &by_pred_csr));
+        let pages = Pages::from_rows(&nodes, &edges, preds.len());
         Ok(Self {
             values,
             preds,
             types,
-            nodes,
-            edges,
-            by_pred_csr,
             value_to_node,
-            out_sig,
-            in_sig,
-            columnar,
+            pages,
         })
+    }
+
+    /// Assembles an ontology whose adjacency arrives already sorted, and
+    /// writes every page in one pass over its inputs.
+    ///
+    /// This is the snapshot path: `questpro-store` keeps its triple table
+    /// in SPO order and its OSP permutation on disk, and both map 1:1
+    /// onto the node spans, so nothing is re-sorted. Node `i` holds value
+    /// id `i` (one node per value); `node_types` names the typed nodes in
+    /// ascending node order, and `edges` is the edge table in id order.
+    /// Id ranges are validated here. The spans are trusted in release
+    /// builds and checked in debug builds — snapshot decoding validates
+    /// the on-disk form before calling this:
+    ///
+    /// * `out.off` / `in_.off` are monotone CSR offsets, one per node plus
+    ///   one, ending at the edge count;
+    /// * each node's entries in `out` / `in_` are its outgoing / incoming
+    ///   edges, sorted by (pred, edge id), with their predicates beside
+    ///   them.
+    ///
+    /// # Errors
+    /// [`GraphError::UnknownNode`] when a node, predicate or type id is
+    /// out of range, the typed nodes are not strictly ascending, or the
+    /// edge count disagrees with the offsets.
+    pub fn from_sorted_parts(
+        values: Interner,
+        preds: Interner,
+        types: Interner,
+        node_types: impl IntoIterator<Item = (NodeId, TypeId)>,
+        edges: impl IntoIterator<Item = EdgeData>,
+        out: SortedSpans<impl Iterator<Item = EdgeId>, impl Iterator<Item = PredId>>,
+        in_: SortedSpans<impl Iterator<Item = EdgeId>, impl Iterator<Item = PredId>>,
+    ) -> Result<Self, GraphError> {
+        let n = values.len();
+        let bad = |what: String| GraphError::UnknownNode { what };
+        let edge_pages = edge_pages(edges, preds.len(), |i, d| check_edge(i, d, n, preds.len()))?;
+        let m = edge_pages.iter().map(|p| p.rows().len()).sum::<usize>();
+        for s in [&out.off, &in_.off] {
+            if s.len() != n + 1 || s[n] as usize != m {
+                return Err(bad(format!(
+                    "{m} edges over {n} nodes disagree with the span offsets"
+                )));
+            }
+            debug_assert!(s.windows(2).all(|w| w[0] <= w[1]));
+        }
+        let mut typed = node_types.into_iter().peekable();
+        let mut bad_type = None;
+        let nodes = (0..n).map(|i| {
+            let ty = typed.next_if(|&(v, _)| v.index() == i).map(|(_, t)| t);
+            if ty.is_some_and(|t| t.index() >= types.len()) {
+                bad_type = Some(i);
+            }
+            NodeData {
+                value: ValueId::from_usize(i),
+                ty,
+            }
+        });
+        let pages = Pages::from_sorted(nodes, n, edge_pages, m, out, in_, preds.len());
+        if let Some(i) = bad_type {
+            return Err(bad(format!("node {i} references a type id out of range")));
+        }
+        if let Some((v, _)) = typed.next() {
+            return Err(bad(format!(
+                "typed node {} is out of range or out of order",
+                v.raw()
+            )));
+        }
+        let o = Self {
+            values,
+            preds,
+            types,
+            value_to_node: ValueLookup::Identity,
+            pages,
+        };
+        debug_assert!(
+            o.pages == o.rebuild_pages(),
+            "sorted parts disagree with the edges"
+        );
+        Ok(o)
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.pages.node_count
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.pages.edge_count
     }
 
     /// Number of distinct predicates.
@@ -282,34 +294,34 @@ impl Ontology {
 
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId::new)
+        (0..self.node_count() as u32).map(NodeId::new)
     }
 
     /// Iterates over all edge ids.
     pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.edges.len() as u32).map(EdgeId::new)
+        (0..self.edge_count() as u32).map(EdgeId::new)
     }
 
     /// Payload of node `n`.
     #[inline]
     pub fn node(&self, n: NodeId) -> NodeData {
-        self.nodes[n.index()]
+        self.pages.node(n)
     }
 
     /// Payload of edge `e`.
     #[inline]
     pub fn edge(&self, e: EdgeId) -> EdgeData {
-        self.edges[e.index()]
+        self.pages.edge(e)
     }
 
     /// The value string of node `n`.
     pub fn value_str(&self, n: NodeId) -> &str {
-        self.values.resolve(self.nodes[n.index()].value.raw())
+        self.values.resolve(self.node(n).value.raw())
     }
 
     /// The predicate string of edge `e`.
     pub fn pred_str_of(&self, e: EdgeId) -> &str {
-        self.preds.resolve(self.edges[e.index()].pred.raw())
+        self.preds.resolve(self.edge(e).pred.raw())
     }
 
     /// Resolves a predicate id to its string.
@@ -329,14 +341,14 @@ impl Ontology {
 
     /// The type of node `n`, if declared.
     pub fn node_type(&self, n: NodeId) -> Option<TypeId> {
-        self.nodes[n.index()].ty
+        self.node(n).ty
     }
 
     /// Finds the node holding `value`, if any (values are unique).
     pub fn node_by_value(&self, value: &str) -> Option<NodeId> {
         let v = self.values.get(value)?;
         self.value_to_node
-            .node_of(ValueId::new(v), self.nodes.len())
+            .node_of(ValueId::new(v), self.node_count())
     }
 
     /// Finds the predicate id of `pred`, if any edge uses it.
@@ -355,24 +367,21 @@ impl Ontology {
     /// sample the adjacency in edge-id order must sort it.
     #[inline]
     pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.columnar.out_span(n)
+        self.pages.span(OUT, n)
     }
 
     /// Incoming edges of node `n`, sorted by (pred, edge id) like
     /// [`Ontology::out_edges`].
     #[inline]
     pub fn in_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.columnar.in_span(n)
+        self.pages.span(IN, n)
     }
 
-    /// All edges labeled with predicate `p`.
+    /// All edges labeled with predicate `p`, in ascending edge-id order.
+    /// Its length is `pred_stats(p).cardinality`.
     #[inline]
-    pub fn edges_with_pred(&self, p: PredId) -> &[EdgeId] {
-        if p.index() < self.preds.len() {
-            self.by_pred_csr.span(p.index())
-        } else {
-            &[]
-        }
+    pub fn edges_with_pred(&self, p: PredId) -> PredEdges<'_> {
+        self.pages.edges_with_pred(p)
     }
 
     /// Degree (in + out) of node `n`.
@@ -385,46 +394,48 @@ impl Ontology {
     /// Binary-searches the columnar out-span for `pred`, then scans that
     /// (typically tiny) span for `dst`.
     pub fn find_edge(&self, src: NodeId, pred: PredId, dst: NodeId) -> Option<EdgeId> {
-        self.columnar
-            .out_with_pred(src, pred)
+        self.pages
+            .with_pred(OUT, src, pred)
             .iter()
             .copied()
-            .find(|&e| self.edges[e.index()].dst == dst)
+            .find(|&e| self.edge(e).dst == dst)
     }
 
     /// Outgoing edges of `n` labeled `pred`, in ascending edge-id order
     /// (the `pred` sub-span of [`Ontology::out_edges`]).
     #[inline]
     pub fn out_edges_with_pred(&self, n: NodeId, pred: PredId) -> &[EdgeId] {
-        self.columnar.out_with_pred(n, pred)
+        self.pages.with_pred(OUT, n, pred)
     }
 
     /// Incoming edges of `n` labeled `pred`, in ascending edge-id order
     /// (the `pred` sub-span of [`Ontology::in_edges`]).
     #[inline]
     pub fn in_edges_with_pred(&self, n: NodeId, pred: PredId) -> &[EdgeId] {
-        self.columnar.in_with_pred(n, pred)
+        self.pages.with_pred(IN, n, pred)
     }
 
     /// Per-predicate cardinality and distinct-count statistics.
     #[inline]
     pub fn pred_stats(&self, p: PredId) -> PredStats {
-        self.columnar.pred_stats(p)
+        self.pages.pred_stats(p)
     }
 
-    /// The columnar index block (for benchmarking rebuild cost).
-    pub fn columnar(&self) -> &ColumnarIndexes {
-        &self.columnar
+    /// The paged rows and indexes of this version.
+    pub fn pages(&self) -> &Pages {
+        &self.pages
     }
 
-    /// Rebuilds the columnar indexes from the edge table.
+    /// Rebuilds every page from this version's node and edge rows.
     ///
     /// Used by benchmarks to time a warm index build and by the delta
     /// tests as the from-scratch oracle for the incremental maintenance
-    /// path; the result is identical to the block built in
+    /// path; the result is identical to the pages built in
     /// [`OntologyBuilder::build`].
-    pub fn rebuild_columnar(&self) -> ColumnarIndexes {
-        ColumnarIndexes::build(self.nodes.len(), &self.edges, &self.by_pred_csr)
+    pub fn rebuild_pages(&self) -> Pages {
+        let nodes: Vec<NodeData> = self.node_ids().map(|n| self.node(n)).collect();
+        let edges: Vec<EdgeData> = self.edge_ids().map(|e| self.edge(e)).collect();
+        Pages::from_rows(&nodes, &edges, self.pred_count())
     }
 
     /// The signature bit predicate `p` folds to (predicates are hashed
@@ -443,7 +454,7 @@ impl Ontology {
     /// predicates) and edge endpoints still have to line up.
     #[inline]
     pub fn out_signature(&self, n: NodeId) -> u64 {
-        self.out_sig[n.index()]
+        self.pages.sig(OUT, n)
     }
 
     /// Bitset of predicates appearing on incoming edges of `n`.
@@ -451,7 +462,7 @@ impl Ontology {
     /// See [`Ontology::out_signature`] for the pruning contract.
     #[inline]
     pub fn in_signature(&self, n: NodeId) -> u64 {
-        self.in_sig[n.index()]
+        self.pages.sig(IN, n)
     }
 
     /// Access to the value interner (read-only).
@@ -665,8 +676,7 @@ impl OntologyBuilder {
     /// Finalizes the ontology, computing all indexes.
     pub fn build(self) -> Ontology {
         let n = self.nodes.len();
-        let (by_pred_csr, out_sig, in_sig) = index_edges(n, self.preds.len(), &self.edges);
-        let columnar = ColumnarIndexes::build(n, &self.edges, &by_pred_csr);
+        let pages = Pages::from_rows(&self.nodes, &self.edges, self.preds.len());
         // The builder appends values and nodes in lockstep, so identity
         // normally holds; keep the map only for the degenerate case.
         let identity = self.values.len() == n
@@ -684,13 +694,8 @@ impl OntologyBuilder {
             values: self.values,
             preds: self.preds,
             types: self.types,
-            nodes: self.nodes,
-            edges: self.edges,
-            by_pred_csr,
             value_to_node,
-            out_sig,
-            in_sig,
-            columnar,
+            pages,
         }
     }
 }
@@ -831,7 +836,7 @@ mod tests {
             .edge_ids()
             .map(|e| via_builder.edge(e))
             .collect();
-        let o = Ontology::assemble(values, preds, types, nodes, edges, None).unwrap();
+        let o = Ontology::assemble(values, preds, types, nodes, edges).unwrap();
         assert_eq!(o.node_count(), via_builder.node_count());
         assert_eq!(o.edge_count(), via_builder.edge_count());
         for n in o.node_ids() {
@@ -859,7 +864,6 @@ mod tests {
             o.types().clone(),
             bad,
             edges.clone(),
-            None,
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::UnknownNode { .. }));
@@ -872,7 +876,6 @@ mod tests {
             o.types().clone(),
             dup,
             edges.clone(),
-            None,
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::DuplicateValue { .. }));
@@ -885,7 +888,6 @@ mod tests {
             o.types().clone(),
             nodes,
             bad_edges,
-            None,
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::UnknownNode { .. }));
@@ -915,7 +917,6 @@ mod tests {
             o.types().clone(),
             nodes,
             edges,
-            None,
         )
         .unwrap();
         assert_eq!(p.node_by_value(&v0), Some(NodeId::new(0)));

@@ -93,12 +93,17 @@ impl HttpCounters {
 pub struct OntologyCounters {
     updates: AtomicU64,
     rejections: AtomicU64,
+    pages_copied: AtomicU64,
 }
 
 impl OntologyCounters {
-    /// Records one update batch applied (a new head version installed).
-    pub fn record_update(&self) {
+    /// Records one update batch applied (a new head version installed)
+    /// that built `pages_copied` pages afresh
+    /// ([`DeltaSummary::pages_copied`](questpro_graph::DeltaSummary::pages_copied)).
+    pub fn record_update(&self, pages_copied: usize) {
         self.updates.fetch_add(1, Ordering::Relaxed);
+        self.pages_copied
+            .fetch_add(pages_copied as u64, Ordering::Relaxed);
     }
 
     /// Records one update batch rejected (malformed body, unknown
@@ -115,6 +120,11 @@ impl OntologyCounters {
     /// Total update batches rejected.
     pub fn rejections(&self) -> u64 {
         self.rejections.load(Ordering::Relaxed)
+    }
+
+    /// Total pages the applied batches built afresh.
+    pub fn pages_copied(&self) -> u64 {
+        self.pages_copied.load(Ordering::Relaxed)
     }
 }
 
@@ -216,6 +226,11 @@ pub fn render(
         "questpro_ontology_update_rejections_total",
         "Live ontology update batches rejected with a 4xx.",
         ontology.rejections(),
+    );
+    counter(
+        "questpro_ontology_update_pages_copied_total",
+        "Node and edge pages live updates built afresh; every other page is shared with the previous version.",
+        ontology.pages_copied(),
     );
 
     let inference = questpro_core::global_stats();
@@ -515,7 +530,7 @@ mod tests {
         http.record_conn_opened();
         http.record_conn_closed();
         let onto = OntologyCounters::default();
-        onto.record_update();
+        onto.record_update(7);
         onto.record_rejection();
         onto.record_rejection();
         let text = render(&http, 3, &onto, 5);
@@ -531,6 +546,7 @@ mod tests {
         assert!(text.contains("questpro_sessions_live 3"));
         assert!(text.contains("questpro_ontology_updates_total 1"));
         assert!(text.contains("questpro_ontology_update_rejections_total 2"));
+        assert!(text.contains("questpro_ontology_update_pages_copied_total 7"));
         assert!(text.contains("questpro_ontology_versions_open 5"));
         assert!(text.contains("questpro_engine_searches_total"));
         assert!(text.contains("questpro_inference_runs_total"));

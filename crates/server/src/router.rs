@@ -468,7 +468,7 @@ fn update_ontology(state: &AppState, name: &str, req: &Request) -> Response {
     };
     match state.registry.update(name, &delta) {
         Ok((version, ont, summary)) => {
-            state.ontology_updates.record_update();
+            state.ontology_updates.record_update(summary.pages_copied);
             Response::json(
                 200,
                 Json::obj([

@@ -935,6 +935,8 @@ fn live_updates_version_worlds_and_count_rejections() {
         json_metric(&scrape, "questpro_ontology_update_rejections_total"),
         6
     );
+    // The one applied batch rebuilt at least the tail edge page.
+    assert!(json_metric(&scrape, "questpro_ontology_update_pages_copied_total") >= 1);
     assert!(json_metric(&scrape, "questpro_ontology_versions_open") >= 2);
     server.join();
 }

@@ -22,9 +22,9 @@
 //!   bytes; on trusted bytes it is a handful of bulk copies, so
 //!   `questpro serve` cold-starts multi-million-triple ontologies in
 //!   milliseconds.
-//! * [`TripleStore::to_ontology`] — hands the store's arrays directly to
-//!   `Ontology::assemble` / `ColumnarIndexes::from_sorted_parts`, so the
-//!   engine-facing graph is assembled without re-interning or re-sorting.
+//! * [`TripleStore::to_ontology`] — streams the store's arrays into
+//!   `Ontology::from_sorted_parts`, which writes the graph's pages
+//!   directly, without re-interning or re-sorting.
 
 pub mod crc32;
 pub mod dict;

@@ -16,10 +16,7 @@
 //! Feeding the same data in any order yields byte-identical snapshots.
 
 use questpro_graph::fxhash::FxHashMap;
-use questpro_graph::{
-    ColumnarIndexes, EdgeData, EdgeId, Interner, NodeData, NodeId, Ontology, PredId, PredStats,
-    TypeId, ValueId,
-};
+use questpro_graph::{EdgeData, EdgeId, Interner, NodeId, Ontology, PredId, SortedSpans, TypeId};
 
 use crate::dict::Dict;
 use crate::error::StoreError;
@@ -174,11 +171,12 @@ impl TripleStore {
     /// Assembles a full engine-facing [`Ontology`] from the store.
     ///
     /// This is the snapshot fast path: the SPO table *is* the edge table
-    /// (edge id = SPO rank), so the columnar out-columns are an identity
-    /// mapping and the in-columns are the OSP permutation; per-predicate
-    /// statistics fall out of two linear run-length scans. Nothing is
-    /// re-sorted and no label is hashed: the sorted dictionaries hand
-    /// their arenas to [`Interner::from_sorted_labels`] in one copy.
+    /// (edge id = SPO rank), so the out spans are the edge ids in order
+    /// and the in spans the OSP permutation, and
+    /// [`Ontology::from_sorted_parts`] writes each page straight from
+    /// them. Nothing is re-sorted and no label is hashed: the sorted
+    /// dictionaries hand their arenas to [`Interner::from_sorted_labels`]
+    /// in one copy.
     ///
     /// # Errors
     /// Fails only on invariant violations, which validated stores
@@ -200,79 +198,43 @@ impl TripleStore {
                 reason: "labels not strictly ascending".into(),
             })?;
         let n = self.nodes.len();
-        let m = self.triples.len();
-
-        let mut nodes: Vec<NodeData> = (0..n as u32)
-            .map(|i| NodeData {
-                value: ValueId::new(i),
-                ty: None,
-            })
-            .collect();
-        for &[node, ty] in &self.node_types {
-            nodes[node as usize].ty = Some(TypeId::new(ty));
-        }
-        let edges: Vec<EdgeData> = self
-            .triples
-            .iter()
-            .map(|t| EdgeData {
-                src: NodeId::new(t[0]),
-                dst: NodeId::new(t[2]),
-                pred: PredId::new(t[1]),
-            })
-            .collect();
-
-        // Out-columns: SPO order groups edges by subject and sorts each
-        // span by (pred, object) = (pred, edge id). Identity mapping.
-        let mut out_off = vec![0u32; n + 1];
-        for t in &self.triples {
-            out_off[t[0] as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_off[i + 1] += out_off[i];
-        }
-        let out_sorted: Vec<EdgeId> = (0..m as u32).map(EdgeId::new).collect();
-        let out_preds: Vec<PredId> = self.triples.iter().map(|t| PredId::new(t[1])).collect();
-
-        // In-columns: OSP order groups by object, sorts by (pred, subj)
-        // = (pred, edge id). The permutation is the column.
-        let mut in_off = vec![0u32; n + 1];
-        for t in &self.triples {
-            in_off[t[2] as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_off[i + 1] += in_off[i];
-        }
-        let in_sorted: Vec<EdgeId> = self.osp.iter().map(|&e| EdgeId::new(e)).collect();
-        let in_preds: Vec<PredId> = self
-            .osp
-            .iter()
-            .map(|&e| PredId::new(self.triples[e as usize][1]))
-            .collect();
-
-        // Stats: (s, p) runs are contiguous in SPO, (p, o) runs in POS.
-        let mut stats = vec![PredStats::default(); self.preds.len()];
-        let mut prev_sp: Option<(u32, u32)> = None;
-        for t in &self.triples {
-            let st = &mut stats[t[1] as usize];
-            st.cardinality += 1;
-            if prev_sp != Some((t[0], t[1])) {
-                st.distinct_subjects += 1;
-                prev_sp = Some((t[0], t[1]));
+        // SPO order groups edges by subject and sorts each span by
+        // (pred, object) = (pred, edge id): the out entries are the edge
+        // ids in order. OSP order groups by object and sorts by (pred,
+        // subject) = (pred, edge id): the permutation is the in column.
+        let offsets = |end: usize| {
+            let mut off = vec![0u32; n + 1];
+            for t in &self.triples {
+                off[t[end] as usize + 1] += 1;
             }
-        }
-        let mut prev_po: Option<(u32, u32)> = None;
-        for &e in &self.pos {
-            let t = self.triples[e as usize];
-            if prev_po != Some((t[1], t[2])) {
-                stats[t[1] as usize].distinct_objects += 1;
-                prev_po = Some((t[1], t[2]));
+            for i in 0..n {
+                off[i + 1] += off[i];
             }
-        }
-
-        let columnar = ColumnarIndexes::from_sorted_parts(
-            out_sorted, out_preds, out_off, in_sorted, in_preds, in_off, stats,
-        );
-        Ontology::assemble(values, preds, types, nodes, edges, Some(columnar))
+            off
+        };
+        let out = SortedSpans {
+            off: offsets(0),
+            ids: (0..self.triples.len() as u32).map(EdgeId::new),
+            preds: self.triples.iter().map(|t| PredId::new(t[1])),
+        };
+        let in_ = SortedSpans {
+            off: offsets(2),
+            ids: self.osp.iter().map(|&e| EdgeId::new(e)),
+            preds: self
+                .osp
+                .iter()
+                .map(|&e| PredId::new(self.triples[e as usize][1])),
+        };
+        let node_types = self
+            .node_types
+            .iter()
+            .map(|&[node, ty]| (NodeId::new(node), TypeId::new(ty)));
+        let edges = self.triples.iter().map(|t| EdgeData {
+            src: NodeId::new(t[0]),
+            dst: NodeId::new(t[2]),
+            pred: PredId::new(t[1]),
+        });
+        Ontology::from_sorted_parts(values, preds, types, node_types, edges, out, in_)
             .map_err(StoreError::Graph)
     }
 
@@ -566,19 +528,9 @@ mod tests {
     fn to_ontology_columnar_matches_rebuilt_columnar() {
         let s = tiny();
         let o = s.to_ontology().unwrap();
-        // The handed-over columns must agree with a from-scratch build.
-        let rebuilt = o.rebuild_columnar();
-        for n in o.node_ids() {
-            for p in 0..o.pred_count() {
-                let p = PredId::from_usize(p);
-                assert_eq!(o.out_edges_with_pred(n, p), rebuilt.out_with_pred(n, p));
-                assert_eq!(o.in_edges_with_pred(n, p), rebuilt.in_with_pred(n, p));
-            }
-        }
-        for p in 0..o.pred_count() {
-            let p = PredId::from_usize(p);
-            assert_eq!(o.pred_stats(p), rebuilt.pred_stats(p));
-        }
+        // The pages written from the handed-over columns must agree with
+        // a from-scratch build: spans, signatures and statistics.
+        assert_eq!(o.pages(), &o.rebuild_pages());
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn metrics_exposition_format_is_frozen() {
     http.record_response(404);
     http.record_overload();
     let onto = OntologyCounters::default();
-    onto.record_update();
+    onto.record_update(3);
     onto.record_rejection();
     let got = normalize(&render(&http, 2, &onto, 3));
 
@@ -62,6 +62,7 @@ fn metrics_exposition_format_is_frozen() {
     for name in [
         "questpro_ontology_updates_total",
         "questpro_ontology_update_rejections_total",
+        "questpro_ontology_update_pages_copied_total",
         "questpro_ontology_versions_open",
     ] {
         assert!(got.contains(name), "{name} missing from the exposition");

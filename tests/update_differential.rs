@@ -16,7 +16,8 @@ use std::collections::BTreeSet;
 use questpro::data::{erdos_example_set, erdos_ontology};
 use questpro::engine::evaluate_union_with;
 use questpro::feedback::{InteractiveSession, SessionConfig};
-use questpro::graph::{triples, Ontology, TripleDelta};
+use questpro::graph::columnar::{EDGE_PAGE, NODE_PAGE};
+use questpro::graph::{triples, EdgeId, NodeId, Ontology, TripleDelta};
 use questpro::prelude::*;
 use questpro::rng::{Rng, StdRng};
 use questpro_store::TripleStore;
@@ -94,6 +95,44 @@ fn random_delta(rng: &mut StdRng, store: &TripleStore, round: usize) -> TripleDe
     delta
 }
 
+/// The per-step oracle: the incrementally updated store is
+/// byte-identical to a scratch rebuild of the incrementally updated
+/// graph, and every predicate's one-edge query answers identically on
+/// the graph and on the store-rebuilt world, at threads 1, 2 and 8.
+fn assert_step_matches_scratch(case: &str, new_store: &TripleStore, new_ont: &Ontology) {
+    // Snapshot-byte oracle: incremental == from scratch.
+    let scratch = TripleStore::from_ontology(new_ont).expect("scratch rebuild fits");
+    assert_eq!(
+        questpro_store::encode(new_store),
+        questpro_store::encode(&scratch),
+        "{case}: incremental snapshot diverged from scratch"
+    );
+    // Query oracle: identical answers on both worlds, at every thread
+    // count, for every live predicate.
+    let rebuilt = new_store
+        .to_ontology()
+        .expect("incremental store assembles");
+    let preds: BTreeSet<String> = (0..new_store.preds().len())
+        .map(|i| new_store.preds().label(i as u32).to_string())
+        .collect();
+    for pred in &preds {
+        let q = one_edge_query(pred);
+        let seq = answers(new_ont, &q, 1);
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                answers(new_ont, &q, threads),
+                seq,
+                "{case} pred {pred:?}: threaded eval diverged"
+            );
+            assert_eq!(
+                answers(&rebuilt, &q, threads),
+                seq,
+                "{case} pred {pred:?}: store-backed eval diverged from the incremental graph"
+            );
+        }
+    }
+}
+
 /// The tentpole oracle: fuzzed update sequences where, at every step,
 /// the incremental store is byte-identical to a scratch rebuild, both
 /// layers agree on accept/reject, and every predicate's one-edge query
@@ -117,39 +156,11 @@ fn fuzzed_update_sequences_match_scratch_rebuilds_at_all_thread_counts() {
                     accepted += 1;
                     assert_eq!(summary.inserted, delta.inserts.len());
                     assert_eq!(summary.deleted, delta.deletes.len());
-                    // Snapshot-byte oracle: incremental == from scratch.
-                    let scratch =
-                        TripleStore::from_ontology(&new_ont).expect("scratch rebuild fits");
-                    assert_eq!(
-                        questpro_store::encode(&new_store),
-                        questpro_store::encode(&scratch),
-                        "seed {seed} round {round}: incremental snapshot diverged from scratch"
+                    assert_step_matches_scratch(
+                        &format!("seed {seed} round {round}"),
+                        &new_store,
+                        &new_ont,
                     );
-                    // Query oracle: identical answers on both worlds, at
-                    // every thread count, for every live predicate.
-                    let rebuilt = new_store
-                        .to_ontology()
-                        .expect("incremental store assembles");
-                    let preds: BTreeSet<String> = (0..new_store.preds().len())
-                        .map(|i| new_store.preds().label(i as u32).to_string())
-                        .collect();
-                    for pred in &preds {
-                        let q = one_edge_query(pred);
-                        let seq = answers(&new_ont, &q, 1);
-                        for threads in [1usize, 2, 8] {
-                            assert_eq!(
-                                answers(&new_ont, &q, threads),
-                                seq,
-                                "seed {seed} round {round} pred {pred:?}: threaded eval diverged"
-                            );
-                            assert_eq!(
-                                answers(&rebuilt, &q, threads),
-                                seq,
-                                "seed {seed} round {round} pred {pred:?}: store-backed eval \
-                                 diverged from the incremental graph"
-                            );
-                        }
-                    }
                     store = new_store;
                     ont = new_ont;
                 }
@@ -264,5 +275,221 @@ fn interleaved_sessions_on_pinned_versions_are_unaffected_by_updates() {
             assert!(guard < 1000, "head session failed to converge");
         }
         assert!(s.final_query().is_some());
+    }
+}
+
+/// The triple `[src, pred, dst]` of edge `e`, as a batch names it.
+fn triple_of(ont: &Ontology, e: usize) -> [String; 3] {
+    let d = ont.edge(EdgeId::from_usize(e));
+    [
+        ont.value_str(d.src).to_string(),
+        ont.pred_str(d.pred).to_string(),
+        ont.value_str(d.dst).to_string(),
+    ]
+}
+
+/// The value of node `n`.
+fn value_of(ont: &Ontology, n: usize) -> String {
+    ont.value_str(NodeId::from_usize(n)).to_string()
+}
+
+/// Page boundaries under the same oracle: a world of five node pages
+/// and two edge pages, both tails one short of full, takes batches that
+/// touch the first and the last node of a page, open a new tail page of
+/// each kind, fill holes on both sides of an edge-page boundary, and
+/// shrink the edge table back across a page boundary.
+#[test]
+fn batches_at_page_boundaries_match_scratch_rebuilds() {
+    let nodes = 5 * NODE_PAGE - 2;
+    let edges = 2 * EDGE_PAGE - 1;
+    let preds = ["knows", "cites", "likes"];
+    let mut text = String::new();
+    for i in 0..edges {
+        // (i mod nodes, i div nodes) is distinct per edge, so no triple repeats.
+        let (s, t) = (i % nodes, (i % nodes + i / nodes + 1) % nodes);
+        text.push_str(&format!("v{s} {} v{t}\n", preds[i % 3]));
+    }
+    let mut ont = triples::parse(&text).expect("boundary world parses");
+    assert_eq!((ont.node_count(), ont.edge_count()), (nodes, edges));
+    assert_eq!(ont.pages().page_counts(), (5, 2));
+    let mut store = TripleStore::from_ontology(&ont).expect("boundary store builds");
+    fn fresh(tag: &str, n: usize) -> Vec<[String; 3]> {
+        (0..n)
+            .map(|i| [format!("{tag}{i}"), "knows".into(), format!("{tag}{i}_dst")])
+            .collect()
+    }
+    type Batch = fn(&Ontology) -> TripleDelta;
+    let cases: [(&str, Batch); 4] = [
+        ("first and last node of a page", |o| {
+            let (first, last) = (value_of(o, NODE_PAGE), value_of(o, 2 * NODE_PAGE - 1));
+            let out_of_first = o.out_edges(NodeId::from_usize(NODE_PAGE))[0];
+            let into_last = o.in_edges(NodeId::from_usize(2 * NODE_PAGE - 1))[0];
+            TripleDelta {
+                inserts: vec![
+                    [first.clone(), "fresh".into(), last.clone()],
+                    [last, "knows".into(), first],
+                ],
+                deletes: vec![
+                    triple_of(o, out_of_first.index()),
+                    triple_of(o, into_last.index()),
+                ],
+            }
+        }),
+        ("new tail pages", |_| TripleDelta {
+            inserts: fresh("tail", 6),
+            deletes: Vec::new(),
+        }),
+        ("holes across an edge-page boundary", |o| TripleDelta {
+            inserts: Vec::new(),
+            deletes: (EDGE_PAGE - 2..EDGE_PAGE + 2)
+                .map(|e| triple_of(o, e))
+                .collect(),
+        }),
+        ("edge table shrinks across a page boundary", |o| {
+            TripleDelta {
+                inserts: fresh("back", 2),
+                deletes: (0..o.edge_count() - 2 * EDGE_PAGE + 6)
+                    .map(|i| triple_of(o, 7 * i + 1))
+                    .collect(),
+            }
+        }),
+    ];
+    for (case, make) in cases {
+        let delta = make(&ont);
+        let new_store = store.apply_update(&delta).expect("store applies the batch");
+        let (new_ont, summary) = ont.apply_delta(&delta).expect("graph applies the batch");
+        assert_eq!(summary.deleted, delta.deletes.len(), "{case}");
+        assert_step_matches_scratch(case, &new_store, &new_ont);
+        assert_eq!(new_ont.pages(), &new_ont.rebuild_pages(), "{case}");
+        store = new_store;
+        ont = new_ont;
+    }
+    // The batches did what their names say.
+    assert_eq!(ont.pages().page_counts().0, 6, "a sixth node page opened");
+    assert_eq!(
+        ont.pages().page_counts().1,
+        2,
+        "the third edge page closed again"
+    );
+}
+
+/// Batches shaped like the `live_update` benchmark workload over a
+/// 10⁵-triple sp2b scale world, with four versions retained: four new
+/// papers per batch, each batch deleting the papers of the batch three
+/// places earlier. Every 100 batches the head must encode byte for
+/// byte like a from-scratch build of the triples it should hold, and
+/// its pages must equal a rebuild; every batch must copy a number of
+/// pages bounded by its size, not by the world's.
+///
+/// Release-only (`cargo test --release --test update_differential --
+/// --ignored`): erdos-sized worlds never reach this many pages.
+#[test]
+#[ignore = "release-scale; run with --release -- --ignored"]
+fn live_update_chain_at_scale_copies_only_touched_pages() {
+    use std::collections::VecDeque;
+    use std::sync::Arc;
+
+    use questpro::data::{scale_stream, ScaleConfig, ScaleItem, ScaleWorld};
+    use questpro_store::StoreBuilder;
+
+    const TRIPLES: u64 = 100_000;
+    const LAG: u64 = 3;
+    let build = |extra: &mut dyn FnMut(&mut StoreBuilder)| {
+        let mut b = StoreBuilder::new();
+        for item in scale_stream(&ScaleConfig {
+            world: ScaleWorld::Sp2b,
+            triples: TRIPLES,
+            seed: 5,
+        }) {
+            match item {
+                ScaleItem::Triple { s, p, o } => b.add_triple(&s, &p, &o),
+                ScaleItem::Type { node, ty } => b.add_type(&node, &ty).expect("one type each"),
+            }
+        }
+        extra(&mut b);
+        b.build().expect("scale world builds")
+    };
+    let base = build(&mut |_| {});
+    let (authors, journals) = (TRIPLES / 5, TRIPLES / 50);
+    let inserts = |k: u64| -> Vec<[String; 3]> {
+        let mut rng = StdRng::seed_from_u64(k);
+        (0..4)
+            .flat_map(|j| {
+                let paper = format!("upaper{k}x{j}");
+                let a1 = rng.random_range(0..authors);
+                let a2 = (a1 + 1 + rng.random_range(0..authors - 1)) % authors;
+                [
+                    ("creator", format!("author{a1}")),
+                    ("creator", format!("author{a2}")),
+                    ("year", format!("y{}", 1950 + rng.random_range(0..70u64))),
+                    (
+                        "journal",
+                        format!("journal{}", rng.random_range(0..journals)),
+                    ),
+                ]
+                .map(|(p, o)| [paper.clone(), p.to_string(), o])
+            })
+            .collect()
+    };
+    let mut versions: VecDeque<Arc<Ontology>> = VecDeque::new();
+    versions.push_back(Arc::new(base.to_ontology().expect("scale world assembles")));
+    let (node_pages, edge_pages) = versions[0].pages().page_counts();
+    for k in 0..1000u64 {
+        let delta = TripleDelta {
+            inserts: inserts(k),
+            deletes: if k >= LAG {
+                inserts(k - LAG)
+            } else {
+                Vec::new()
+            },
+        };
+        let head = versions.back().expect("a head").clone();
+        let (next, summary) = head
+            .apply_delta(&delta)
+            .expect("live batches apply in order");
+        // Touched node pages come from endpoints of deleted, moved and
+        // inserted edges and the new nodes; touched edge pages from
+        // holes and the tail.
+        let (ins, del) = (summary.inserted, summary.deleted);
+        let bound = 2 * (2 * del + ins) + 2 + del + 2;
+        assert!(
+            summary.pages_copied <= bound,
+            "batch {k}: {} pages copied, bound {bound}",
+            summary.pages_copied
+        );
+        assert!(4 * summary.pages_copied < node_pages + edge_pages);
+        versions.push_back(Arc::new(next));
+        if versions.len() > 4 {
+            versions.pop_front();
+        }
+        if (k + 1) % 100 == 0 {
+            let head = versions.back().expect("a head");
+            assert_eq!(
+                head.pages(),
+                &head.rebuild_pages(),
+                "batch {k}: pages drifted"
+            );
+            // From scratch: the base world, every label ever inserted
+            // (deleted papers stay as isolated nodes), and the live
+            // batches' surviving triples.
+            let scratch = build(&mut |b| {
+                for j in 0..=k {
+                    for [s, _, o] in inserts(j) {
+                        b.add_node(&s);
+                        b.add_node(&o);
+                    }
+                }
+                for j in (k + 1).saturating_sub(LAG)..=k {
+                    for [s, p, o] in inserts(j) {
+                        b.add_triple(&s, &p, &o);
+                    }
+                }
+            });
+            assert_eq!(
+                questpro_store::encode(&TripleStore::from_ontology(head).expect("head encodes")),
+                questpro_store::encode(&scratch),
+                "batch {k}: head diverged from a from-scratch build"
+            );
+        }
     }
 }
