@@ -13,12 +13,12 @@ use std::fmt::Write as _;
 
 use questpro_graph::rng::StdRng;
 
-use questpro_core::{infer_top_k, with_all_diseqs, InferenceStats, TopKConfig};
+use questpro_core::{infer_top_k_cached, with_all_diseqs_cached, InferenceStats, TopKConfig};
 use questpro_data::{
     bsbm_workload, generate_bsbm, generate_movies, generate_sp2b, movie_workload, sp2b_workload,
     BsbmConfig, MoviesConfig, OntologyKind, Sp2bConfig, WorkloadQuery,
 };
-use questpro_engine::{evaluate_union, sample_example_set, union_equivalent};
+use questpro_engine::{evaluate_union, sample_example_set, union_equivalent, ConsistencyCache};
 use questpro_graph::{ExampleSet, Ontology};
 use questpro_query::UnionQuery;
 
@@ -67,16 +67,19 @@ pub fn full_workload() -> Vec<WorkloadQuery> {
 }
 
 /// Whether some candidate (in plain or all-disequalities form) matches
-/// the target query's semantics.
+/// the target query's semantics. The disequalities are read off onto
+/// matches looked up in `cache`; pass the one inference ran on
+/// ([`infer_top_k_cached`]) to reuse its matches.
 pub fn reconstructed(
     ont: &Ontology,
     candidates: &[UnionQuery],
     target: &UnionQuery,
     examples: &ExampleSet,
+    cache: &mut ConsistencyCache,
 ) -> bool {
     let target_results = evaluate_union(ont, target);
     candidates.iter().any(|c| {
-        let c_all = with_all_diseqs(ont, c, examples);
+        let c_all = with_all_diseqs_cached(ont, c, examples, cache);
         union_equivalent(c, target)
             || union_equivalent(&c_all, target)
             || evaluate_union(ont, c) == target_results
@@ -110,9 +113,10 @@ pub fn reconstruct(
         if examples.len() < 2 {
             break;
         }
-        let (candidates, stats) = infer_top_k(ont, &examples, cfg);
+        let mut cache = ConsistencyCache::new();
+        let (candidates, stats) = infer_top_k_cached(ont, &examples, cfg, &mut cache);
         total.absorb(stats);
-        if reconstructed(ont, &candidates, target, &examples) {
+        if reconstructed(ont, &candidates, target, &examples, &mut cache) {
             return ReconstructionRun {
                 explanations: Some(n),
                 stats: total,

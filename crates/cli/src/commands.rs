@@ -205,7 +205,8 @@ pub mod infer {
 
     use std::fmt::Write as _;
 
-    use questpro_core::{infer_top_k, with_all_diseqs, GreedyConfig, TopKConfig};
+    use questpro_core::{infer_top_k_cached, with_all_diseqs_cached, GreedyConfig, TopKConfig};
+    use questpro_engine::ConsistencyCache;
     use questpro_query::GeneralizationWeights;
 
     use crate::args::InferArgs;
@@ -226,7 +227,9 @@ pub mod infer {
             },
             threads: args.threads.max(1),
         };
-        let (mut candidates, stats) = infer_top_k(&ont, &examples, &cfg);
+        // One onto-match cache: `Q^all` reuses the matches inference found.
+        let mut onto = ConsistencyCache::new();
+        let (mut candidates, stats) = infer_top_k_cached(&ont, &examples, &cfg, &mut onto);
         if args.minimize {
             use questpro_query::UnionQuery;
             candidates = candidates
@@ -245,7 +248,7 @@ pub mod infer {
         let mut out = String::new();
         for (i, q) in candidates.iter().enumerate() {
             let q = if args.diseqs {
-                with_all_diseqs(&ont, q, &examples)
+                with_all_diseqs_cached(&ont, q, &examples, &mut onto)
             } else {
                 q.clone()
             };

@@ -19,13 +19,14 @@
 //! the standard top-k inference and reports which explanations were set
 //! aside, so an interactive front-end can ask the user to re-draw them.
 
+use questpro_engine::ConsistencyCache;
 use questpro_graph::{ExampleSet, Ontology};
 use questpro_query::UnionQuery;
 
 use crate::greedy::{merge_pair, GreedyConfig};
 use crate::pattern::PatternGraph;
 use crate::stats::InferenceStats;
-use crate::topk::{infer_top_k, TopKConfig};
+use crate::topk::{infer_top_k_cached, TopKConfig};
 
 /// How suspicious an explanation looks within its example-set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,11 +124,14 @@ pub fn diagnose_examples(
 /// Returns the candidates inferred from the clean subset, the indexes of
 /// the explanations that were set aside, and the inference stats. When
 /// filtering would leave fewer than two explanations (or nothing is
-/// suspect), the full set is used unchanged.
+/// suspect), the full set is used unchanged. Inference runs on `cache`
+/// ([`infer_top_k_cached`]), so its onto matches stay available to the
+/// caller.
 pub fn infer_top_k_robust(
     ont: &Ontology,
     examples: &ExampleSet,
     cfg: &TopKConfig,
+    cache: &mut ConsistencyCache,
 ) -> (Vec<UnionQuery>, Vec<usize>, InferenceStats) {
     let diagnoses = diagnose_examples(ont, examples, &cfg.greedy);
     let suspects: Vec<usize> = diagnoses
@@ -137,7 +141,7 @@ pub fn infer_top_k_robust(
         .collect();
     let clean_count = examples.len() - suspects.len();
     if suspects.is_empty() || clean_count < 2 {
-        let (candidates, stats) = infer_top_k(ont, examples, cfg);
+        let (candidates, stats) = infer_top_k_cached(ont, examples, cfg, cache);
         return (candidates, Vec::new(), stats);
     }
     let kept: ExampleSet = examples
@@ -146,7 +150,7 @@ pub fn infer_top_k_robust(
         .filter(|(i, _)| !suspects.contains(i))
         .map(|(_, e)| e.clone())
         .collect();
-    let (candidates, stats) = infer_top_k(ont, &kept, cfg);
+    let (candidates, stats) = infer_top_k_cached(ont, &kept, cfg, cache);
     (candidates, suspects, stats)
 }
 
@@ -203,7 +207,12 @@ mod tests {
     #[test]
     fn robust_inference_sets_the_suspect_aside() {
         let (o, set) = world();
-        let (candidates, suspects, _) = infer_top_k_robust(&o, &set, &TopKConfig::default());
+        let (candidates, suspects, _) = infer_top_k_robust(
+            &o,
+            &set,
+            &TopKConfig::default(),
+            &mut ConsistencyCache::new(),
+        );
         assert_eq!(suspects, vec![3]);
         // The clean subset fuses into one co-author-of-Erdos pattern.
         let best = &candidates[0];
@@ -221,7 +230,12 @@ mod tests {
         let clean: ExampleSet = set.iter().take(3).cloned().collect();
         let d = diagnose_examples(&o, &clean, &GreedyConfig::default());
         assert!(d.iter().all(|x| x.suspicion == Suspicion::Clean));
-        let (_, suspects, _) = infer_top_k_robust(&o, &clean, &TopKConfig::default());
+        let (_, suspects, _) = infer_top_k_robust(
+            &o,
+            &clean,
+            &TopKConfig::default(),
+            &mut ConsistencyCache::new(),
+        );
         assert!(suspects.is_empty());
     }
 
@@ -244,7 +258,12 @@ mod tests {
             .filter(|(i, _)| *i == 0 || *i == 3)
             .map(|(_, e)| e.clone())
             .collect();
-        let (candidates, suspects, _) = infer_top_k_robust(&o, &pair, &TopKConfig::default());
+        let (candidates, suspects, _) = infer_top_k_robust(
+            &o,
+            &pair,
+            &TopKConfig::default(),
+            &mut ConsistencyCache::new(),
+        );
         assert!(suspects.is_empty());
         assert_eq!(candidates[0].len(), 2);
     }

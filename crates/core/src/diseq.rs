@@ -19,7 +19,7 @@
 //! users never disqualify a query because of an over-strict disequality.
 
 use questpro_engine::ConsistencyCache;
-use questpro_graph::{ExampleSet, Explanation, NodeId, Ontology};
+use questpro_graph::{ExampleSet, Explanation, Ontology};
 use questpro_query::{QueryNodeId, SimpleQuery, UnionQuery};
 
 /// Infers every admissible disequality for `q` over the explanations it
@@ -35,52 +35,49 @@ pub fn infer_diseqs(
     infer_diseqs_cached(ont, q, examples, &mut ConsistencyCache::new())
 }
 
-/// [`infer_diseqs`] with a shared [`ConsistencyCache`]: the feedback
-/// loop re-derives disequalities for the same branches after every
-/// refinement step, so the `(branch, explanation)` onto matches recur.
+/// [`infer_diseqs`] with a shared [`ConsistencyCache`]: top-k candidates
+/// share branches, and a session start passes the cache inference
+/// filled, so most `(branch, explanation)` onto matches are looked up,
+/// not searched for again.
 pub fn infer_diseqs_cached(
     ont: &Ontology,
     q: &SimpleQuery,
     examples: &ExampleSet,
     cache: &mut ConsistencyCache,
 ) -> Vec<(QueryNodeId, QueryNodeId)> {
-    // Per covered explanation: the image of every query node (`None`
-    // for nodes bound only by skipped OPTIONAL edges).
     let qkey = questpro_engine::consistency::query_key(q);
-    let assignments: Vec<Vec<Option<NodeId>>> = examples
-        .iter()
-        .filter_map(|ex| {
-            cache
-                .find_onto_match_keyed(qkey, ont, q, ex)
-                .map(|m| m.nodes)
+    // The pairs with at least one variable, narrowed by the onto match
+    // of each covered explanation in turn.
+    let n = q.node_count();
+    let mut pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+        .filter(|&(a, b)| {
+            let var = |i| q.label(QueryNodeId::from_index(i)).is_var();
+            var(a) || var(b)
         })
         .collect();
-    if assignments.is_empty() {
+    let mut covered = false;
+    for ex in examples.iter() {
+        let Some(m) = cache.find_onto_match_keyed(qkey, ont, q, ex) else {
+            continue;
+        };
+        covered = true;
+        pairs.retain(|&(a, b)| {
+            // A node left unbound in some explanation (skipped OPTIONAL
+            // edge) cannot certify the disequality there.
+            let (Some(va), Some(vb)) = (m.nodes[a], m.nodes[b]) else {
+                return false;
+            };
+            va != vb && ont.node_type(va) == ont.node_type(vb)
+        });
+    }
+    if !covered {
         return Vec::new();
     }
-    let n = q.node_count();
-    let mut out = Vec::new();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let na = QueryNodeId::from_index(a);
-            let nb = QueryNodeId::from_index(b);
-            if !q.label(na).is_var() && !q.label(nb).is_var() {
-                continue;
-            }
-            let admissible = assignments.iter().all(|asg| {
-                // A node left unbound in some explanation (skipped
-                // OPTIONAL edge) cannot certify the disequality there.
-                let (Some(va), Some(vb)) = (asg[a], asg[b]) else {
-                    return false;
-                };
-                va != vb && ont.node_type(va) == ont.node_type(vb)
-            });
-            if admissible {
-                out.push((na, nb));
-            }
-        }
-    }
-    out
+    pairs
+        .into_iter()
+        .map(|(a, b)| (QueryNodeId::from_index(a), QueryNodeId::from_index(b)))
+        .collect()
 }
 
 /// The paper's `Q^all`: every branch of `u` augmented with all its
@@ -309,5 +306,42 @@ mod tests {
         let covered = covered_explanations_cached(&o, &q, &examples, &mut cache);
         assert_eq!(covered.len(), covered_explanations(&o, &q, &examples).len());
         assert_eq!(cache.hits(), 2 * examples.len() as u64);
+        // One key scheme: the same pattern spelled with other variable
+        // names reuses every entry.
+        let mut b = SimpleQuery::builder();
+        let (x, p, other) = (b.var("a"), b.var("paper"), b.var("b"));
+        b.edge(p, "wb", x).edge(p, "wb", other).project(x);
+        let renamed = b.build().unwrap();
+        assert_ne!(renamed.to_string(), q.to_string());
+        assert_eq!(
+            infer_diseqs_cached(&o, &renamed, &examples, &mut cache),
+            infer_diseqs(&o, &q, &examples)
+        );
+        assert_eq!(cache.hits(), 3 * examples.len() as u64);
+        assert_eq!(cache.len(), examples.len());
+    }
+
+    #[test]
+    fn inference_cache_serves_the_candidates_diseqs() {
+        let (o, examples) = world();
+        let cfg = crate::TopKConfig::default();
+        let mut cache = ConsistencyCache::new();
+        let (candidates, stats) = crate::infer_top_k_cached(&o, &examples, &cfg, &mut cache);
+        let (fresh, fresh_stats) = crate::infer_top_k(&o, &examples, &cfg);
+        assert_eq!(candidates, fresh);
+        assert_eq!(stats.consistency_checks, fresh_stats.consistency_checks);
+        assert_eq!(
+            stats.consistency_cache_hits,
+            fresh_stats.consistency_cache_hits
+        );
+        let (lookups, hits) = (cache.lookups(), cache.hits());
+        for c in &candidates {
+            assert_eq!(
+                with_all_diseqs_cached(&o, c, &examples, &mut cache),
+                with_all_diseqs(&o, c, &examples)
+            );
+        }
+        assert!(cache.lookups() > lookups);
+        assert!(cache.hits() > hits, "inference's matches must serve Q^all");
     }
 }

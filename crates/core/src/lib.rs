@@ -57,6 +57,6 @@ pub use gain::GainWeights;
 pub use greedy::{merge_pair, GreedyConfig, MergeOutcome};
 pub use pattern::PatternGraph;
 pub use stats::{global_stats, GlobalStats, InferenceStats};
-pub use topk::{infer_top_k, TopKConfig};
+pub use topk::{infer_top_k, infer_top_k_cached, TopKConfig};
 pub use trivial::{trivial_consistent_query, TrivialOutcome};
 pub use union::{find_consistent_union, UnionConfig};

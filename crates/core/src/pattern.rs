@@ -152,44 +152,6 @@ impl PatternGraph {
         self.dis
     }
 
-    /// An injective serialization of this graph, independent of variable
-    /// *names* (which `PatternGraph` never stores): two queries that
-    /// differ only in how their variables are spelled produce the same
-    /// key. Constants and predicates are length-prefixed, so no choice
-    /// of label text can collide with the structure of the encoding.
-    ///
-    /// `merge_pair` is a pure function of its two pattern graphs, which
-    /// makes this the right memo key for pairwise-merge caching — the
-    /// SPARQL text used previously split α-equivalent branches into
-    /// distinct cache entries.
-    pub fn canonical_key(&self) -> String {
-        let mut s = String::with_capacity(16 + 16 * self.edges.len());
-        s.push('d');
-        s.push_str(&self.dis.to_string());
-        for l in &self.labels {
-            match l {
-                PLabel::Const(c) => {
-                    s.push('C');
-                    s.push_str(&c.len().to_string());
-                    s.push(':');
-                    s.push_str(c);
-                }
-                PLabel::Var => s.push('V'),
-            }
-        }
-        for e in &self.edges {
-            s.push(if e.optional { 'o' } else { 'e' });
-            s.push_str(&e.src.to_string());
-            s.push(',');
-            s.push_str(&e.dst.to_string());
-            s.push(',');
-            s.push_str(&e.pred.len().to_string());
-            s.push(':');
-            s.push_str(&e.pred);
-        }
-        s
-    }
-
     /// The set of distinct edge predicates (required and optional).
     pub fn edge_label_set(&self) -> BTreeSet<Arc<str>> {
         self.edges.iter().map(|e| e.pred.clone()).collect()

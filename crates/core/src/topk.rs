@@ -112,6 +112,20 @@ pub fn infer_top_k(
     examples: &ExampleSet,
     cfg: &TopKConfig,
 ) -> (Vec<UnionQuery>, InferenceStats) {
+    infer_top_k_cached(ont, examples, cfg, &mut ConsistencyCache::new())
+}
+
+/// [`infer_top_k`] on a caller's [`ConsistencyCache`]: the onto matches
+/// that verify the beam states stay in it, so a caller that goes on to
+/// infer the candidates' disequalities (`with_all_diseqs_cached`) finds
+/// them instead of searching again. The stats count this run's lookups
+/// only; on a fresh cache they equal [`infer_top_k`]'s.
+pub fn infer_top_k_cached(
+    ont: &Ontology,
+    examples: &ExampleSet,
+    cfg: &TopKConfig,
+    ccache: &mut ConsistencyCache,
+) -> (Vec<UnionQuery>, InferenceStats) {
     assert!(cfg.k >= 1, "k must be at least 1");
     assert!(!examples.is_empty(), "example-set must be non-empty");
     let t_span = questpro_trace::span("infer.topk");
@@ -119,7 +133,7 @@ pub fn infer_top_k(
     let nodes0 = metrics::nodes_expanded();
     let mut stats = InferenceStats::default();
     let mut cache = MergeCache::default();
-    let mut ccache = ConsistencyCache::new();
+    let (lookups0, hits0) = (ccache.lookups(), ccache.hits());
     let mut beam: Vec<State> = vec![make_state(initial_branches(ont, examples), cfg.weights)];
 
     // Each merge reduces a state's branch count by one, so chains of
@@ -160,7 +174,7 @@ pub fn infer_top_k(
                 // lookup after round one is a cache hit).
                 let t_c = std::time::Instant::now();
                 let c_span = questpro_trace::span("infer.consistency");
-                let ok = union_consistent_cached(ont, &s.branches, examples, &mut ccache);
+                let ok = union_consistent_cached(ont, &s.branches, examples, ccache);
                 drop(c_span);
                 stats.consistency_nanos += t_c.elapsed().as_nanos();
                 assert!(
@@ -181,8 +195,8 @@ pub fn infer_top_k(
     }
 
     let queries = beam.into_iter().map(|s| s.query).collect();
-    stats.consistency_checks = ccache.lookups() as usize;
-    stats.consistency_cache_hits = ccache.hits() as usize;
+    stats.consistency_checks = (ccache.lookups() - lookups0) as usize;
+    stats.consistency_cache_hits = (ccache.hits() - hits0) as usize;
     stats.matcher_nodes_expanded = metrics::nodes_expanded().wrapping_sub(nodes0);
     stats.total_nanos = t_total.elapsed().as_nanos();
     crate::stats::record_global(&stats);

@@ -41,20 +41,18 @@ impl Default for UnionConfig {
 /// One branch of the evolving union: the query, its pattern graph, and
 /// a canonical key used for merge- and consistency-caching.
 ///
-/// The key is the α-invariant [`PatternGraph::canonical_key`] plus the
-/// query's disequality pairs (node indexes — `from_query` preserves node
-/// order, so indexes are comparable across equal-keyed branches).
-/// Branches that differ only in variable *names* share a key, which is
-/// sound for both caches: `merge_pair` sees only the pattern graphs, and
-/// onto-match existence is α-invariant. The previous SPARQL-text key
-/// split such branches into distinct cache entries, capping the merge
-/// hit rate well below what the pair structure allows.
+/// The key is [`SimpleQuery::canonical_key`]: α-invariant, with the
+/// disequality pairs. Branches that differ only in variable *names*
+/// share a key, which is sound for both caches: `merge_pair` sees only
+/// the pattern graphs, and an onto match records images by node and
+/// edge index. Its hash is [`questpro_engine::consistency::query_key`],
+/// so a session's `Q^all` derivation finds inference's onto matches.
 #[derive(Debug, Clone)]
 pub(crate) struct Branch {
     pub(crate) graph: std::sync::Arc<PatternGraph>,
     pub(crate) query: std::sync::Arc<SimpleQuery>,
     pub(crate) key: std::sync::Arc<str>,
-    /// `fx_hash_one(&key)`, memoized: consistency-cache lookups happen
+    /// `fx_hash_one(&*key)`, memoized: consistency-cache lookups happen
     /// per (branch, example) every round and must not re-hash the key.
     pub(crate) key_hash: u64,
     /// `query.shape_hash()`, memoized for the beam's state fingerprints.
@@ -64,15 +62,8 @@ pub(crate) struct Branch {
 impl Branch {
     pub(crate) fn from_query(query: SimpleQuery) -> Self {
         let graph = PatternGraph::from_query(&query);
-        let mut key = graph.canonical_key();
-        for &(a, b) in query.diseqs() {
-            key.push('!');
-            key.push_str(&a.index().to_string());
-            key.push(',');
-            key.push_str(&b.index().to_string());
-        }
-        let key: std::sync::Arc<str> = key.into();
-        let key_hash = fx_hash_one(&key);
+        let key: std::sync::Arc<str> = query.canonical_key().into();
+        let key_hash = fx_hash_one(&*key);
         let shape = query.shape_hash();
         Self {
             graph: std::sync::Arc::new(graph),
@@ -519,5 +510,16 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.total_vars(), 0);
         assert!(consistent_with_examples(&o, &q, &one));
+    }
+
+    #[test]
+    fn branch_keys_are_the_consistency_cache_keys() {
+        let (o, examples) = world();
+        for ex in examples.iter() {
+            let q = SimpleQuery::from_explanation(&o, ex);
+            let b = Branch::from_query(q.clone());
+            assert_eq!(&*b.key, q.canonical_key());
+            assert_eq!(b.key_hash, questpro_engine::consistency::query_key(&q));
+        }
     }
 }

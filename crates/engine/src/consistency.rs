@@ -16,11 +16,15 @@
 //! disequality inference revisits every `(branch, explanation)` pair.
 //! [`ConsistencyCache`] memoizes `find_onto_match` results under a
 //! `(query-canonical-hash, explanation-hash)` key so each distinct pair
-//! is solved once per inference run.
+//! is solved once per inference run. A session start hands inference's
+//! cache on to disequality inference, so the pairs inference already
+//! verified are not solved again.
+
+use std::collections::hash_map::Entry;
 
 use questpro_graph::fxhash::{fx_hash_one, FxHashMap};
 use questpro_graph::{DeltaSummary, ExampleSet, Explanation, Ontology};
-use questpro_query::{sparql, SimpleQuery, UnionQuery};
+use questpro_query::{SimpleQuery, UnionQuery};
 
 use crate::matcher::{Match, Matcher};
 
@@ -53,11 +57,12 @@ pub fn consistent_with_examples(ont: &Ontology, q: &UnionQuery, examples: &Examp
     })
 }
 
-/// Cache key of a query: the FxHash of its canonical SPARQL text (the
-/// same canonical form `questpro-core` keys its merge cache with, so
-/// α-equivalent branches share consistency results).
+/// Cache key of a query: the FxHash of [`SimpleQuery::canonical_key`].
+/// Inference memoizes the same hash on each of its branches, so
+/// α-equivalent queries share consistency results, and a cache that
+/// inference filled answers the disequality lookups for its candidates.
 pub fn query_key(q: &SimpleQuery) -> u64 {
-    fx_hash_one(&sparql::format_simple(q))
+    fx_hash_one(q.canonical_key().as_str())
 }
 
 /// Cache key of an explanation: the FxHash of its distinguished node
@@ -102,10 +107,24 @@ fn pair_sig(ont: &Ontology, q: &SimpleQuery, ex: &Explanation) -> u64 {
 /// (consistency calls and cache hit rate) in `questpro-core`.
 #[derive(Debug, Default)]
 pub struct ConsistencyCache {
-    /// `(query key, explanation key)` → (predicate signature, result).
-    map: FxHashMap<(u64, u64), (u64, Option<Match>)>,
+    map: FxHashMap<(u64, u64), Cached>,
     lookups: u64,
     hits: u64,
+    /// Misses before the last [`ConsistencyCache::mark`]: an entry with
+    /// a lower ordinal was cached before it.
+    mark: u64,
+    /// Hits since the last mark on entries cached before it.
+    reused: u64,
+}
+
+/// One solved `(query, explanation)` pair.
+#[derive(Debug)]
+struct Cached {
+    /// Predicate signature ([`pair_sig`]).
+    sig: u64,
+    /// How many misses preceded this one.
+    ordinal: u64,
+    result: Option<Match>,
 }
 
 impl ConsistencyCache {
@@ -120,30 +139,54 @@ impl ConsistencyCache {
         ont: &Ontology,
         q: &SimpleQuery,
         ex: &Explanation,
-    ) -> Option<Match> {
+    ) -> Option<&Match> {
         self.find_onto_match_keyed(query_key(q), ont, q, ex)
     }
 
-    /// Cached [`find_onto_match`] with a precomputed query key (hot
-    /// paths that already hold a canonical form, e.g. union branches).
+    /// Cached [`find_onto_match`] with a precomputed [`query_key`] (hot
+    /// paths that already hold it, e.g. union branches). A hit lends
+    /// the cached match out instead of copying it.
     pub fn find_onto_match_keyed(
         &mut self,
         qkey: u64,
         ont: &Ontology,
         q: &SimpleQuery,
         ex: &Explanation,
-    ) -> Option<Match> {
-        let key = (qkey, explanation_key(ex));
+    ) -> Option<&Match> {
         self.lookups += 1;
-        if let Some((_, cached)) = self.map.get(&key) {
-            self.hits += 1;
-            crate::metrics::add_consistency_lookup(true);
-            return cached.clone();
-        }
-        crate::metrics::add_consistency_lookup(false);
-        let m = find_onto_match(ont, q, ex);
-        self.map.insert(key, (pair_sig(ont, q, ex), m.clone()));
-        m
+        let cached = match self.map.entry((qkey, explanation_key(ex))) {
+            Entry::Occupied(hit) => {
+                self.hits += 1;
+                crate::metrics::add_consistency_lookup(true);
+                let hit = hit.into_mut();
+                self.reused += u64::from(hit.ordinal < self.mark);
+                hit
+            }
+            Entry::Vacant(miss) => {
+                crate::metrics::add_consistency_lookup(false);
+                miss.insert(Cached {
+                    sig: pair_sig(ont, q, ex),
+                    ordinal: self.lookups - self.hits - 1,
+                    result: find_onto_match(ont, q, ex),
+                })
+            }
+        };
+        cached.result.as_ref()
+    }
+
+    /// Starts counting [`ConsistencyCache::reused`] afresh: from now on
+    /// it counts the hits on entries cached before this call — e.g. the
+    /// disequality lookups of a session start that inference's onto
+    /// matches answer.
+    pub fn mark(&mut self) {
+        self.mark = self.misses();
+        self.reused = 0;
+    }
+
+    /// Hits since the last [`ConsistencyCache::mark`] on entries cached
+    /// before it (0 before any mark).
+    pub fn reused(&self) -> u64 {
+        self.reused
     }
 
     /// Drops exactly the entries a live ontology update can have
@@ -166,7 +209,7 @@ impl ConsistencyCache {
         let before = self.map.len();
         if summary.edge_ids_stable {
             let sig = summary.pred_sig;
-            self.map.retain(|_, (s, _)| *s & sig == 0);
+            self.map.retain(|_, c| c.sig & sig == 0);
         } else {
             self.map.clear();
         }
@@ -371,7 +414,7 @@ mod tests {
         for q in [erdos_q1(), erdos_q2()] {
             for ex in [&e1, &e2] {
                 assert_eq!(
-                    cache.find_onto_match(&o, &q, ex),
+                    cache.find_onto_match(&o, &q, ex).cloned(),
                     find_onto_match(&o, &q, ex)
                 );
             }
@@ -391,6 +434,44 @@ mod tests {
         assert_eq!(cache.lookups(), 8);
         assert_eq!(cache.hits(), 4);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn renamed_queries_share_an_entry() {
+        let (o, _, e2) = world();
+        let coauthor = |x: &str, p: &str, y: &str| {
+            let mut b = SimpleQuery::builder();
+            let (x, p, y) = (b.var(x), b.var(p), b.var(y));
+            b.edge(p, "wb", x).edge(p, "wb", y).project(x);
+            b.build().unwrap()
+        };
+        let (q, renamed) = (coauthor("x", "p", "y"), coauthor("a", "paper", "b"));
+        assert_eq!(query_key(&q), query_key(&renamed));
+        let mut cache = ConsistencyCache::new();
+        let first = cache.find_onto_match(&o, &q, &e2).cloned();
+        assert!(first.is_some());
+        assert_eq!(cache.find_onto_match(&o, &renamed, &e2).cloned(), first);
+        assert_eq!((cache.lookups(), cache.hits(), cache.len()), (2, 1, 1));
+    }
+
+    #[test]
+    fn reused_counts_hits_on_entries_cached_before_the_mark() {
+        let (o, e1, e2) = world();
+        let mut cache = ConsistencyCache::new();
+        cache.consistent(&o, &erdos_q1(), &e1);
+        cache.consistent(&o, &erdos_q1(), &e1);
+        assert_eq!(cache.reused(), 0, "nothing is older than no mark");
+        cache.mark();
+        cache.consistent(&o, &erdos_q1(), &e1);
+        cache.consistent(&o, &erdos_q2(), &e2);
+        cache.consistent(&o, &erdos_q2(), &e2);
+        cache.consistent(&o, &erdos_q1(), &e1);
+        // Two hits on the entry from before the mark, one on the new one.
+        assert_eq!((cache.hits(), cache.reused()), (4, 2));
+        cache.mark();
+        assert_eq!(cache.reused(), 0);
+        cache.consistent(&o, &erdos_q2(), &e2);
+        assert_eq!(cache.reused(), 1);
     }
 
     #[test]
@@ -437,7 +518,7 @@ mod tests {
         // fresh search on the updated version.
         let hits_before = cache.hits();
         assert_eq!(
-            cache.find_onto_match(&next, &q_wb, &ex_wb),
+            cache.find_onto_match(&next, &q_wb, &ex_wb).cloned(),
             find_onto_match(&next, &q_wb, &ex_wb)
         );
         assert_eq!(cache.hits(), hits_before + 1, "wb entry must stay warm");

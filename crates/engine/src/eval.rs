@@ -13,13 +13,19 @@
 //! pool, and the pass never scans more index entries than that pool
 //! holds (DESIGN.md §9, "Candidate domains").
 //!
+//! The pass keeps every node's domain, not only the projected node's,
+//! and the checks reject any bind outside its node's domain
+//! ([`Matcher::within`]): a domain holds every image its node takes in
+//! any match, so only dead branches are cut.
+//!
 //! The checks run on the matcher's probe driver
 //! ([`Matcher::anchored`]): the query is resolved and its edge order
-//! computed once for the shape "projected node bound", and one search
-//! state is reused for every candidate — bind, search to the first
-//! match, unbind — without building a match. With `threads > 1` the
-//! candidates split into at most `threads` contiguous chunks, one probe
-//! per chunk (DESIGN.md §9, "The probe driver").
+//! computed once for the shape "projected node bound", with a bound
+//! constant planned at its true degree, and one search state is reused
+//! for every candidate — bind, search to the first match, unbind —
+//! without building a match. With `threads > 1` the candidates split
+//! into at most `threads` contiguous chunks, one probe per chunk
+//! (DESIGN.md §9, "The probe driver").
 //!
 //! Provenance evaluation enumerates homomorphisms for a *bound* result
 //! only (the paper's Section V optimization: run differences without
@@ -33,8 +39,11 @@ use questpro_query::{SimpleQuery, UnionQuery};
 
 use crate::matcher::Matcher;
 
-/// Candidate images of the projected node, sorted and distinct: a
-/// superset of `Q(O)` (only **required** edges constrain results).
+/// Semi-join domains of the query's nodes: for each node, `Some` sorted,
+/// distinct superset of its images over all matches of the required
+/// edges, or `None` where the pass set no domain. The projected node's
+/// entry is always `Some`, and it is the candidate set: a superset of
+/// `Q(O)`, empty when the query provably has no match.
 ///
 /// Every homomorphism maps each required edge onto an ontology edge, so
 /// the nodes one edge away from a node's possible images are a superset
@@ -49,29 +58,34 @@ use crate::matcher::Matcher;
 /// incident pool (the whole node table when it has no required edge).
 /// The first relaxation that would read more index entries than that
 /// stops the pass, keeping the domains reached so far; the pass reads at
-/// most one pool per required edge. The projected node's domain, when
-/// one was reached, is the candidate set; otherwise — the unseeded case
-/// — the cheapest pool's endpoints are.
-fn projected_candidates(ont: &Ontology, q: &SimpleQuery) -> Vec<NodeId> {
+/// most one pool per required edge. When the pass did not reach the
+/// projected node — the unseeded case — the cheapest pool's endpoints
+/// are its domain.
+fn projected_candidates(ont: &Ontology, q: &SimpleQuery) -> Vec<Option<Vec<NodeId>>> {
+    let proj = q.projected().index();
+    let mut domains: Vec<Option<Vec<NodeId>>> = vec![None; q.node_count()];
+    let no_match = || {
+        let mut none = vec![None; q.node_count()];
+        none[proj] = Some(Vec::new());
+        none
+    };
     let mut edges: Vec<(usize, PredId, usize)> = Vec::new();
     for e in q.edges().iter().filter(|e| !e.optional) {
         let Some(p) = ont.pred_by_name(&e.pred) else {
-            return Vec::new();
+            return no_match();
         };
         edges.push((e.src.index(), p, e.dst.index()));
     }
-    let mut domains: Vec<Option<Vec<NodeId>>> = vec![None; q.node_count()];
     let mut queue = VecDeque::new();
     for n in q.node_ids() {
         if let Some(value) = q.label(n).as_const() {
             let Some(v) = ont.node_by_value(value) else {
-                return Vec::new();
+                return no_match();
             };
             domains[n.index()] = Some(vec![v]);
             queue.push_back(n.index());
         }
     }
-    let proj = q.projected().index();
     let pool = edges
         .iter()
         .filter(|&&(s, _, d)| s == proj || d == proj)
@@ -105,16 +119,17 @@ fn projected_candidates(ont: &Ontology, q: &SimpleQuery) -> Vec<NodeId> {
                 }
             };
             if dom.is_empty() {
-                return Vec::new();
+                return no_match();
             }
             domains[m] = Some(dom);
         }
     }
-    if let Some(dom) = domains[proj].take() {
-        return dom;
+    if domains[proj].is_some() {
+        return domains;
     }
     let Some(&(s, p, _)) = pool else {
-        return ont.node_ids().collect();
+        domains[proj] = Some(ont.node_ids().collect());
+        return domains;
     };
     let mut cands: Vec<NodeId> = ont
         .edges_with_pred(p)
@@ -129,7 +144,8 @@ fn projected_candidates(ont: &Ontology, q: &SimpleQuery) -> Vec<NodeId> {
         .collect();
     cands.sort_unstable();
     cands.dedup();
-    cands
+    domains[proj] = Some(cands);
+    domains
 }
 
 /// The nodes one `p`-edge away from `from` (along the edge when
@@ -213,11 +229,16 @@ fn evaluate_counted(ont: &Ontology, q: &SimpleQuery, threads: usize) -> (BTreeSe
     // Diseqs may couple the projected node to the rest of the pattern,
     // so every candidate is bound and checked, even when the projected
     // node has no required edge.
-    let cands = projected_candidates(ont, q);
+    // The search also rejects any bind outside its node's domain.
+    let domains = projected_candidates(ont, q);
+    let cands = domains[q.projected().index()]
+        .as_deref()
+        .expect("the projected node always has a domain");
     let hits = Matcher::new(ont, q)
         .skip_optionals()
         .parallel(threads)
-        .anchored(q.projected(), &cands);
+        .within(&domains)
+        .anchored(q.projected(), cands);
     (hits.into_iter().collect(), cands.len())
 }
 
@@ -405,6 +426,13 @@ mod tests {
     use questpro_graph::rng::StdRng;
     use questpro_query::fixtures::{erdos_q1, erdos_q2};
 
+    /// The projected node's domain: the candidates evaluation checks.
+    fn candidates(o: &Ontology, q: &SimpleQuery) -> Vec<NodeId> {
+        projected_candidates(o, q)[q.projected().index()]
+            .clone()
+            .expect("the projected node always has a domain")
+    }
+
     /// Figure 1's four-explanation world: two 2-chains and two 3-chains
     /// to Erdős (shapes simplified but structurally faithful).
     fn ontology() -> Ontology {
@@ -577,7 +605,7 @@ mod tests {
         let a = b.constant("author7");
         b.edge(p, "creator", x).edge(p, "creator", a).project(x);
         let q = b.build().unwrap();
-        let cands = projected_candidates(&o, &q);
+        let cands = candidates(&o, &q);
         assert_eq!(cands, coauthors.iter().copied().collect::<Vec<_>>());
         assert_eq!(evaluate(&o, &q), coauthors);
         // One existence check per co-author, not one per creator edge.
@@ -614,7 +642,7 @@ mod tests {
         let a = o.pred_by_name("a").unwrap();
         let mut pool: Vec<NodeId> = o.edges_with_pred(a).map(|te| o.edge(te).src).collect();
         pool.sort_unstable();
-        assert_eq!(projected_candidates(&o, &q), pool);
+        assert_eq!(candidates(&o, &q), pool);
         assert_eq!(evaluate(&o, &q).len(), 3);
     }
 
@@ -637,7 +665,7 @@ mod tests {
         let hub = qb.constant("hub");
         qb.edge(x, "a", y).edge(x, "b", hub).project(x);
         let q = qb.build().unwrap();
-        assert_eq!(projected_candidates(&o, &q).len(), 3);
+        assert_eq!(candidates(&o, &q).len(), 3);
         assert_eq!(evaluate(&o, &q).len(), 3);
     }
 
@@ -658,7 +686,7 @@ mod tests {
             .project(x);
         let q = b.build().unwrap();
         let names = |ns: &[NodeId]| ns.iter().map(|&n| o.value_str(n)).collect::<Vec<_>>();
-        let cands = projected_candidates(&o, &q);
+        let cands = candidates(&o, &q);
         // Authors within two co-authorships of Erdos: everyone but Alice.
         let mut got = names(&cands);
         got.sort_unstable();
@@ -675,11 +703,11 @@ mod tests {
         let p = b.var("p");
         let ghost = b.constant("Ghost");
         b.edge(p, "wb", x).edge(p, "wb", ghost).project(x);
-        assert!(projected_candidates(&o, &b.build().unwrap()).is_empty());
+        assert!(candidates(&o, &b.build().unwrap()).is_empty());
         let mut b = SimpleQuery::builder();
         let x = b.var("x");
         let p = b.var("p");
         b.edge(p, "wb", x).edge(p, "nope", x).project(x);
-        assert!(projected_candidates(&o, &b.build().unwrap()).is_empty());
+        assert!(candidates(&o, &b.build().unwrap()).is_empty());
     }
 }

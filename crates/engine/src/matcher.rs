@@ -30,7 +30,7 @@
 //!   the extension phase off for result-only evaluation, where it is
 //!   semantically irrelevant.
 //!
-//! Two performance layers sit on top of the plain backtracking search:
+//! Performance layers on top of the plain backtracking search:
 //!
 //! * **predicate-signature pruning** — before a query node is bound to
 //!   an ontology node, the required incident predicates of the query
@@ -43,7 +43,13 @@
 //!   node to `v`. The driver does the per-query work (edge order, the
 //!   constants' checks, the search state) once and then binds, searches
 //!   and unbinds per candidate, stopping at the first match without
-//!   building a [`Match`];
+//!   building a [`Match`]. Its edge order reads a bound constant's true
+//!   span length instead of the per-predicate average; the other drivers
+//!   keep the average-based order, so the first match and the image
+//!   enumeration order do not move;
+//! * **domain pruning** ([`Matcher::within`]) — evaluation passes the
+//!   semi-join domain of each node, and a bind outside its node's domain
+//!   is rejected next to the signature test;
 //! * **sharded parallel search** ([`Matcher::parallel`]) — the candidate
 //!   pool of the first (most-constrained) required edge is materialized
 //!   and split into contiguous chunks, one `std::thread::scope` worker
@@ -150,6 +156,9 @@ pub struct Matcher<'a> {
     required_scope: Vec<bool>,
     /// Caller-provided bindings applied before the search.
     pre_bound: Vec<(usize, NodeId)>,
+    /// Per-node supersets of the images (sorted), `None` for a node
+    /// without one; see [`Matcher::within`].
+    domains: Option<&'a [Option<Vec<NodeId>>]>,
     /// Only edges/nodes of this subgraph may be used as images.
     restrict: Option<&'a Subgraph>,
     /// Require the image to cover the restriction subgraph (onto).
@@ -247,6 +256,7 @@ impl<'a> Matcher<'a> {
             enumerable,
             required_scope,
             pre_bound: Vec::new(),
+            domains: None,
             restrict: None,
             onto: false,
             sequential: false,
@@ -260,6 +270,17 @@ impl<'a> Matcher<'a> {
     /// Pre-binds query node `n` to ontology node `v`.
     pub fn bind(mut self, n: QueryNodeId, v: NodeId) -> Self {
         self.pre_bound.push((n.index(), v));
+        self
+    }
+
+    /// Rejects any bind of a query node outside its domain:
+    /// `domains[n]`, when `Some`, holds a sorted superset of node `n`'s
+    /// images over all matches (the semi-join domains of result-anchored
+    /// evaluation). Matches are unchanged, since no match binds a node
+    /// outside a superset of its images; only the search shrinks.
+    pub fn within(mut self, domains: &'a [Option<Vec<NodeId>>]) -> Self {
+        debug_assert_eq!(domains.len(), self.q.node_count());
+        self.domains = Some(domains);
         self
     }
 
@@ -512,7 +533,7 @@ impl<'a> Matcher<'a> {
         if let Some(n) = anchor {
             bound[n] = true;
         }
-        Some((self.edge_order(bound), state))
+        Some((self.edge_order(bound, anchor.is_some()), state))
     }
 
     /// The search state before the first edge: constants and
@@ -555,7 +576,8 @@ impl<'a> Matcher<'a> {
         }
         for (n, v) in node_assign.iter().enumerate() {
             if let Some(v) = v {
-                if !self.diseqs_ok(&node_assign, n) || !self.sig_ok(n, *v) {
+                if !self.diseqs_ok(&node_assign, n) || !self.sig_ok(n, *v) || !self.in_domain(n, *v)
+                {
                     return None;
                 }
             }
@@ -593,6 +615,7 @@ impl<'a> Matcher<'a> {
                     state.node_assign[n] = Some(v);
                     self.node_allowed(v)
                         && self.sig_ok(n, v)
+                        && self.in_domain(n, v)
                         && self.diseqs_ok(&state.node_assign, n)
                 }
             };
@@ -616,6 +639,17 @@ impl<'a> Matcher<'a> {
     fn sig_ok(&self, n: usize, v: NodeId) -> bool {
         self.req_out_mask[n] & !self.ont.out_signature(v) == 0
             && self.req_in_mask[n] & !self.ont.in_signature(v) == 0
+    }
+
+    /// Domain test: whether `v` lies in query node `n`'s domain (see
+    /// [`Matcher::within`]; always true for a node without one). Sound
+    /// for the same reason as [`Matcher::sig_ok`]: a domain holds every
+    /// image the node takes in any match.
+    #[inline]
+    fn in_domain(&self, n: usize, v: NodeId) -> bool {
+        self.domains
+            .and_then(|d| d[n].as_deref())
+            .is_none_or(|d| d.binary_search(&v).is_ok())
     }
 
     /// Materializes the candidate pool of the top-level edge `ei`
@@ -729,12 +763,11 @@ impl<'a> Matcher<'a> {
 
     /// Static order over the *required* edges: greedily pick the edge
     /// with the smallest estimated candidate scan under the current
-    /// binding state, using the Volcano-style estimator over columnar
-    /// predicate statistics (`crate::cost`). Ties break toward more
-    /// bound endpoints, then lowest edge index, so the order is fully
-    /// deterministic. The *match set* does not depend on the order —
-    /// ordering only moves search effort.
-    fn edge_order(&self, mut bound: Vec<bool>) -> Vec<usize> {
+    /// binding state (see [`Matcher::scan_estimate`]). Ties break toward
+    /// more bound endpoints, then lowest edge index, so the order is
+    /// fully deterministic. The *match set* does not depend on the
+    /// order — ordering only moves search effort.
+    fn edge_order(&self, mut bound: Vec<bool>, constant_degrees: bool) -> Vec<usize> {
         if self.sequential {
             return self.required.clone();
         }
@@ -745,7 +778,7 @@ impl<'a> Matcher<'a> {
                 let e = &self.q.edges()[ei];
                 let sb = bound[e.src.index()];
                 let db = bound[e.dst.index()];
-                let mut est = crate::cost::edge_cost(self.ont, self.preds[ei], sb, db);
+                let mut est = self.scan_estimate(ei, sb, db, constant_degrees);
                 // A restriction caps every scan at its edge count.
                 if let Some(sub) = self.restrict {
                     est = est.min(sub.edge_count() as f64);
@@ -772,6 +805,37 @@ impl<'a> Matcher<'a> {
             remaining.swap_remove(pos);
         }
         order
+    }
+
+    /// Expected scan to match edge `ei` with the given endpoints bound:
+    /// the Volcano-style estimate over columnar predicate statistics
+    /// (`crate::cost`). With `constant_degrees`, an edge whose only
+    /// bound endpoint is a constant reads that constant's true span
+    /// length instead of the per-predicate average, so a hub constant
+    /// is not planned as if it had the average fan-out. Only the
+    /// set-valued probe driver asks for it: the drivers that return the
+    /// first match or enumerate images keep the average-based order, so
+    /// their enumeration order — which disequality inference reads
+    /// through the first onto match — stays as it was.
+    fn scan_estimate(&self, ei: usize, sb: bool, db: bool, constant_degrees: bool) -> f64 {
+        let e = &self.q.edges()[ei];
+        let p = self.preds[ei];
+        if constant_degrees && sb != db {
+            let (n, out) = if sb {
+                (e.src.index(), true)
+            } else {
+                (e.dst.index(), false)
+            };
+            if let Some(c) = self.const_assign[n] {
+                let span = if out {
+                    self.ont.out_edges_with_pred(c, p)
+                } else {
+                    self.ont.in_edges_with_pred(c, p)
+                };
+                return span.len() as f64;
+            }
+        }
+        crate::cost::edge_cost(self.ont, p, sb, db)
     }
 
     fn edge_allowed(&self, e: EdgeId) -> bool {
@@ -907,7 +971,7 @@ impl<'a> Matcher<'a> {
                     }
                 }
                 None => {
-                    if !self.sig_ok(n, v) {
+                    if !self.sig_ok(n, v) || !self.in_domain(n, v) {
                         ok = false;
                         break;
                     }

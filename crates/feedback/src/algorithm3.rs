@@ -11,7 +11,10 @@
 //! are empty both ways are *indistinguishable on this ontology* and are
 //! merged by keeping the earlier-ranked candidate. [`CandidateForms`]
 //! decides a difference statically, without evaluating it, when
-//! containment proves it empty on every ontology.
+//! containment proves it empty on every ontology. It reads the `Q^all`
+//! disequalities off onto matches in a [`ConsistencyCache`]; a session
+//! start passes the one its inference filled, so the matches that
+//! verified the candidates are not searched for again.
 
 use std::collections::BTreeSet;
 
@@ -85,9 +88,25 @@ pub fn choose_query<O: Oracle, R: Rng>(
     rng: &mut R,
     cfg: &FeedbackConfig,
 ) -> FeedbackOutcome {
+    let mut cache = ConsistencyCache::new();
+    choose_query_cached(ont, candidates, examples, oracle, rng, cfg, &mut cache)
+}
+
+/// [`choose_query`] with the `Q^all` forms built on `cache`
+/// ([`CandidateForms::new`]): a session passes the cache its inference
+/// ran on, so the onto matches inference found are not searched again.
+pub(crate) fn choose_query_cached<O: Oracle, R: Rng>(
+    ont: &Ontology,
+    candidates: &[UnionQuery],
+    examples: &ExampleSet,
+    oracle: &mut O,
+    rng: &mut R,
+    cfg: &FeedbackConfig,
+    cache: &mut ConsistencyCache,
+) -> FeedbackOutcome {
     assert!(!candidates.is_empty(), "need at least one candidate");
     let _t = questpro_trace::span("feedback.choose_query");
-    let mut forms = CandidateForms::new(ont, candidates, examples);
+    let mut forms = CandidateForms::new(ont, candidates, examples, cache);
 
     // Live candidate indexes, best-ranked first.
     let mut live: Vec<usize> = (0..candidates.len()).collect();
@@ -144,18 +163,25 @@ pub struct CandidateForms {
     all_results: Vec<Option<BTreeSet<NodeId>>>,
     none_results: Vec<Option<BTreeSet<NodeId>>>,
     static_empty: usize,
+    onto_reused: u64,
 }
 
 impl CandidateForms {
     /// Builds `Q^all` (all admissible disequalities, inferred from
-    /// `examples`) and `Q^no` (none) for every candidate. One
-    /// consistency cache serves all candidates, since they share
-    /// branches and so their onto matches recur.
-    pub fn new(ont: &Ontology, candidates: &[UnionQuery], examples: &ExampleSet) -> Self {
-        let mut cache = ConsistencyCache::new();
+    /// `examples`) and `Q^no` (none) for every candidate. The
+    /// disequalities are read off onto matches looked up in `cache`:
+    /// candidates share branches, and a session start passes the cache
+    /// its inference filled, so most matches are found, not searched.
+    pub fn new(
+        ont: &Ontology,
+        candidates: &[UnionQuery],
+        examples: &ExampleSet,
+        cache: &mut ConsistencyCache,
+    ) -> Self {
+        cache.mark();
         let alls: Vec<UnionQuery> = candidates
             .iter()
-            .map(|q| with_all_diseqs_cached(ont, q, examples, &mut cache))
+            .map(|q| with_all_diseqs_cached(ont, q, examples, cache))
             .collect();
         let nones = candidates.iter().map(UnionQuery::without_diseqs).collect();
         let n = candidates.len();
@@ -165,6 +191,7 @@ impl CandidateForms {
             all_results: vec![None; n],
             none_results: vec![None; n],
             static_empty: 0,
+            onto_reused: cache.reused(),
         }
     }
 
@@ -177,6 +204,13 @@ impl CandidateForms {
     /// without evaluating either side.
     pub fn static_empty(&self) -> usize {
         self.static_empty
+    }
+
+    /// How many of [`CandidateForms::new`]'s onto-match lookups an entry
+    /// already in the cache it was given answered: on a session start,
+    /// the disequality lookups served from inference's matches.
+    pub fn onto_reused(&self) -> u64 {
+        self.onto_reused
     }
 
     /// Samples a witness of `Q_i^all − Q_j^no` with one provenance graph

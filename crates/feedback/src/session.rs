@@ -12,12 +12,13 @@ use std::fmt;
 
 use questpro_graph::rng::{Rng, StdRng};
 
-use questpro_core::{infer_top_k, infer_top_k_robust, InferenceStats, TopKConfig};
+use questpro_core::{infer_top_k_cached, infer_top_k_robust, InferenceStats, TopKConfig};
+use questpro_engine::ConsistencyCache;
 use questpro_graph::{exformat, ExampleSet, NodeId, Ontology, Subgraph};
 use questpro_query::{sparql, QueryNodeId, UnionQuery};
 use questpro_wire::Json;
 
-use crate::algorithm3::{choose_query, CandidateForms, FeedbackConfig, QuestionRecord};
+use crate::algorithm3::{choose_query_cached, CandidateForms, FeedbackConfig, QuestionRecord};
 use crate::oracle::Oracle;
 use crate::refine::{drop_diseq, refine_diseqs};
 
@@ -64,10 +65,13 @@ pub fn run_session<O: Oracle, R: Rng>(
     rng: &mut R,
     cfg: &SessionConfig,
 ) -> SessionResult {
+    // One onto-match cache: the matches that verify inference's beam
+    // states serve `Q^all` in the feedback loop.
+    let mut onto = ConsistencyCache::new();
     let (candidates, suspect_examples, stats) = if cfg.robust {
-        infer_top_k_robust(ont, examples, &cfg.topk)
+        infer_top_k_robust(ont, examples, &cfg.topk, &mut onto)
     } else {
-        let (c, s) = infer_top_k(ont, examples, &cfg.topk);
+        let (c, s) = infer_top_k_cached(ont, examples, &cfg.topk, &mut onto);
         (c, Vec::new(), s)
     };
     // Disequality inference and feedback run against the explanations
@@ -78,7 +82,15 @@ pub fn run_session<O: Oracle, R: Rng>(
         .filter(|(i, _)| !suspect_examples.contains(i))
         .map(|(_, e)| e.clone())
         .collect();
-    let outcome = choose_query(ont, &candidates, &kept, oracle, rng, &cfg.feedback);
+    let outcome = choose_query_cached(
+        ont,
+        &candidates,
+        &kept,
+        oracle,
+        rng,
+        &cfg.feedback,
+        &mut onto,
+    );
     let (query, refinement_questions) = if cfg.refine {
         refine_diseqs(ont, &outcome.chosen, oracle, rng, &cfg.feedback)
     } else {
@@ -270,10 +282,13 @@ impl InteractiveSession {
         if examples.is_empty() {
             return Err(SessionError::EmptyExamples);
         }
+        // One onto-match cache for the whole start: the matches that
+        // verify inference's beam states serve `Q^all` below.
+        let mut onto = ConsistencyCache::new();
         let (candidates, suspect, stats) = if cfg.robust {
-            infer_top_k_robust(ont, examples, &cfg.topk)
+            infer_top_k_robust(ont, examples, &cfg.topk, &mut onto)
         } else {
-            let (c, s) = infer_top_k(ont, examples, &cfg.topk);
+            let (c, s) = infer_top_k_cached(ont, examples, &cfg.topk, &mut onto);
             (c, Vec::new(), s)
         };
         if candidates.is_empty() {
@@ -285,7 +300,7 @@ impl InteractiveSession {
             .filter(|(i, _)| !suspect.contains(i))
             .map(|(_, e)| e.clone())
             .collect();
-        let forms = CandidateForms::new(ont, &candidates, &kept);
+        let forms = CandidateForms::new(ont, &candidates, &kept, &mut onto);
         let mut s = Self {
             cfg: *cfg,
             seed,
@@ -322,6 +337,7 @@ impl InteractiveSession {
                     ("examples", s.examples.len().into()),
                     ("suspect_examples", s.suspect.len().into()),
                     ("static_empty", s.forms.static_empty().into()),
+                    ("onto_reused", s.forms.onto_reused().into()),
                     ("seed", seed.into()),
                 ],
             );
@@ -1070,7 +1086,7 @@ impl InteractiveSession {
             consistency_cache_hits: stat("consistency_cache_hits"),
             ..Default::default()
         };
-        let forms = CandidateForms::new(ont, &candidates, &examples);
+        let forms = CandidateForms::new(ont, &candidates, &examples, &mut ConsistencyCache::new());
         Ok(Self {
             cfg,
             seed,

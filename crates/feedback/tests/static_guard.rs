@@ -9,8 +9,9 @@
 
 use std::sync::Mutex;
 
-use questpro_core::{infer_top_k, GreedyConfig, TopKConfig};
+use questpro_core::{infer_top_k_cached, GreedyConfig, TopKConfig};
 use questpro_engine::metrics::searches_total;
+use questpro_engine::ConsistencyCache;
 use questpro_feedback::{CandidateForms, InteractiveSession, PendingQuestion, SessionConfig};
 use questpro_graph::rng::{Rng, StdRng};
 use questpro_graph::{ExampleSet, Ontology};
@@ -51,13 +52,14 @@ fn m9_examples(seed: u64) -> (Ontology, ExampleSet) {
 
 /// Starts a session and returns it with the number of matcher searches
 /// its witness phase ran: the searches of the whole start minus those of
-/// inference and of building the candidate forms, replayed separately.
-/// Both are exact, since every search here is sequential.
+/// inference and of building the candidate forms on inference's onto
+/// matches, replayed separately. Both are exact, since every search here is sequential.
 fn start_counting(ont: &Ontology, examples: &ExampleSet, seed: u64) -> (InteractiveSession, u64) {
     let cfg = config();
     let before = searches_total();
-    let (candidates, _) = infer_top_k(ont, examples, &cfg.topk);
-    CandidateForms::new(ont, &candidates, examples);
+    let mut onto = ConsistencyCache::new();
+    let (candidates, _) = infer_top_k_cached(ont, examples, &cfg.topk, &mut onto);
+    CandidateForms::new(ont, &candidates, examples, &mut onto);
     let setup = searches_total() - before;
     let before = searches_total();
     let session = InteractiveSession::start(ont, examples, &cfg, seed).expect("session starts");

@@ -82,7 +82,7 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// Hashes a single value with [`FxHasher`] (convenience for cache keys).
-pub fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
+pub fn fx_hash_one<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
     let mut h = FxHasher::default();
     value.hash(&mut h);
     h.finish()

@@ -330,6 +330,41 @@ impl SimpleQuery {
         self.diseqs.len().hash(&mut h);
         h.finish()
     }
+
+    /// An injective serialization of the query that ignores variable
+    /// *names*: the projected node, every node label by index, every
+    /// edge in order with its OPTIONAL flag, and the disequality pairs.
+    /// Constants and predicates are length-prefixed, so no choice of
+    /// label text can collide with the structure of the encoding.
+    ///
+    /// Two queries share a key exactly when they are equal node for node
+    /// and edge for edge up to how their variables are spelled. Anything
+    /// computed without reading variable names can be memoized under it:
+    /// inference keys its merge cache with it (`merge_pair` sees only
+    /// the pattern graph) and the consistency cache with its hash (an
+    /// onto match records images by node and edge index).
+    pub fn canonical_key(&self) -> String {
+        use std::fmt::Write;
+        let mut s = String::with_capacity(16 + 16 * self.edges.len());
+        let _ = write!(s, "d{}", self.projected.index());
+        for l in &self.nodes {
+            match l {
+                NodeLabel::Const(c) => {
+                    let _ = write!(s, "C{}:{c}", c.len());
+                }
+                NodeLabel::Var(_) => s.push('V'),
+            }
+        }
+        for e in &self.edges {
+            let kind = if e.optional { 'o' } else { 'e' };
+            let (src, dst) = (e.src.index(), e.dst.index());
+            let _ = write!(s, "{kind}{src},{dst},{}:{}", e.pred.len(), e.pred);
+        }
+        for (a, b) in &self.diseqs {
+            let _ = write!(s, "!{},{}", a.index(), b.index());
+        }
+        s
+    }
 }
 
 fn label_kind(l: &NodeLabel, projected: bool) -> u8 {
@@ -767,5 +802,42 @@ mod tests {
             .project(a1);
         let q2 = b.build().unwrap();
         assert_eq!(q1.shape_hash(), q2.shape_hash());
+    }
+
+    #[test]
+    fn canonical_key_ignores_names_and_nothing_else() {
+        let build = |x: &str, p: &str, optional: bool, diseq: bool, erdos: &str| {
+            let mut b = SimpleQuery::builder();
+            let x = b.var(x);
+            let p = b.var(p);
+            let e = b.constant(erdos);
+            b.edge(p, "wb", x);
+            if optional {
+                b.optional_edge(p, "wb", e);
+            } else {
+                b.edge(p, "wb", e);
+            }
+            if diseq {
+                b.diseq(x, e);
+            }
+            b.project(x);
+            b.build().unwrap()
+        };
+        let key = build("x", "p", false, true, "Erdos").canonical_key();
+        assert_eq!(
+            key,
+            build("a", "paper", false, true, "Erdos").canonical_key()
+        );
+        for other in [
+            build("x", "p", true, true, "Erdos"),
+            build("x", "p", false, false, "Erdos"),
+            build("x", "p", false, true, "Erdős"),
+        ] {
+            assert_ne!(key, other.canonical_key(), "{other}");
+        }
+        // Length prefixes keep label text from forging structure.
+        let a = build("x", "p", false, false, "Erdos");
+        let b = build("x", "p", false, false, "Erdos!1,2");
+        assert_ne!(a.canonical_key(), b.canonical_key());
     }
 }

@@ -557,7 +557,9 @@ fn one_shot_infer(state: &AppState, req: &Request) -> Response {
     };
     let cfg = topk_config(state, &body);
     let with_diseqs = body.get("diseqs").and_then(Json::as_bool).unwrap_or(false);
-    let (candidates, stats) = questpro_core::infer_top_k(&ont, &examples, &cfg);
+    // One onto-match cache: `Q^all` reuses the matches inference found.
+    let mut onto = questpro_engine::ConsistencyCache::new();
+    let (candidates, stats) = questpro_core::infer_top_k_cached(&ont, &examples, &cfg, &mut onto);
     if candidates.is_empty() {
         return Response::error(422, "no consistent query found for the example-set");
     }
@@ -565,7 +567,7 @@ fn one_shot_infer(state: &AppState, req: &Request) -> Response {
         .iter()
         .map(|q| {
             let q = if with_diseqs {
-                questpro_core::with_all_diseqs(&ont, q, &examples)
+                questpro_core::with_all_diseqs_cached(&ont, q, &examples, &mut onto)
             } else {
                 q.clone()
             };

@@ -10,6 +10,7 @@
 //! Run with: `cargo run --example extensions`
 
 use questpro::core::GreedyConfig;
+use questpro::engine::ConsistencyCache;
 use questpro::prelude::*;
 
 fn main() {
@@ -70,7 +71,12 @@ fn main() {
             d.mergeable_with
         );
     }
-    let (candidates, suspects, _) = infer_top_k_robust(&ont, &poisoned, &TopKConfig::default());
+    let (candidates, suspects, _) = infer_top_k_robust(
+        &ont,
+        &poisoned,
+        &TopKConfig::default(),
+        &mut ConsistencyCache::new(),
+    );
     println!(
         "\nrobust inference set aside {suspects:?} and inferred:\n{}",
         candidates[0]

@@ -13,7 +13,9 @@
 //! 3. **Ordering differential** — the cost-based edge order is a pure
 //!    search-effort knob: it finds exactly the matches that plain
 //!    declaration order finds, for every workload query of all three
-//!    benchmark worlds.
+//!    benchmark worlds. The same holds for the result probes' plan,
+//!    which reads a bound constant's true degree, and for evaluation,
+//!    which adds the semi-join domains to it.
 
 use questpro::data::*;
 use questpro::engine::edge_cost;
@@ -157,6 +159,47 @@ fn cost_order_is_match_set_invariant() {
                 assert_eq!(
                     cost, declared,
                     "{name}/{} branch {i}: the cost-based order changed the match set",
+                    w.id
+                );
+            }
+        }
+    }
+}
+
+/// Degree-aware probe plan vs declaration order: probing every node of
+/// the world at the projected node gives the same hits in the same
+/// order, and `evaluate` (the probe plan plus semi-join domains) gives
+/// them as its result set, for every workload query of all three worlds.
+#[test]
+fn probe_plan_is_result_invariant() {
+    let worlds = small_worlds();
+    let workload: Vec<(&str, _)> = vec![
+        ("sp2b", sp2b_workload()),
+        ("bsbm", bsbm_workload()),
+        ("movies", movie_workload()),
+    ];
+    for (name, queries) in workload {
+        let ont = &worlds.iter().find(|(n, _)| *n == name).expect("world").1;
+        let every: Vec<_> = ont.node_ids().collect();
+        for w in &queries {
+            for (i, q) in w.query.branches().iter().enumerate() {
+                let probe = || Matcher::new(ont, q).skip_optionals();
+                let planned = probe().anchored(q.projected(), &every);
+                let declared = probe().sequential_order().anchored(q.projected(), &every);
+                assert!(
+                    !declared.is_empty(),
+                    "{name}/{} branch {i}: no results",
+                    w.id
+                );
+                assert_eq!(
+                    planned, declared,
+                    "{name}/{} branch {i}: the probe plan changed the hits",
+                    w.id
+                );
+                assert_eq!(
+                    evaluate(ont, q),
+                    declared.into_iter().collect(),
+                    "{name}/{} branch {i}: evaluation differs from the probes",
                     w.id
                 );
             }

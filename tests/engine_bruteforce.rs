@@ -283,6 +283,72 @@ fn matcher_matches_bruteforce() {
     }
 }
 
+/// A world around a hub: `n0` takes a `p`-edge from most other nodes,
+/// on top of random edges over `n0..n{nodes - 1}`.
+fn hub_world<R: Rng>(rng: &mut R, nodes: u32) -> Ontology {
+    let mut edges: BTreeSet<(u8, u8, u8)> = arb_edges_on(rng, nodes).into_iter().collect();
+    for v in 1..nodes as u8 {
+        if rng.random_bool(0.8) {
+            edges.insert((v, 0, 0));
+        }
+    }
+    build_ontology(&edges.into_iter().collect::<Vec<_>>())
+}
+
+/// A chain from the projected `x0` to a constant two to four hops away
+/// ([`arb_chain_spec`]), where the constant is mostly the hub `n0` and
+/// the last hop mostly one of the hub's `p` in-edges, with a
+/// disequality between two of the chain's variables.
+fn hub_chain_spec<R: Rng>(rng: &mut R, nodes: u32) -> QuerySpec {
+    let mut spec = arb_chain_spec(rng);
+    let hops = spec.nodes as u8;
+    spec.constants[0] = if rng.random_bool(0.75) {
+        0
+    } else {
+        rng.random_range(0..nodes) as u8
+    };
+    if rng.random_bool(2.0 / 3.0) {
+        spec.edges[hops as usize - 1] = (hops - 1, 0, hops);
+    }
+    let a = rng.random_range(0..hops as u32) as u8;
+    let b = (a + rng.random_range(1..hops as u32) as u8) % hops;
+    spec.diseq = Some((a, b));
+    spec
+}
+
+/// Result probes prune with every node's semi-join domain and plan
+/// around a bound constant's true degree; neither may change a result.
+/// Worlds carry a hub constant (many same-predicate in-edges), queries
+/// reach it two to four hops from the projected node with a var–var
+/// disequality, and half of them add an optional leaf. `evaluate` must
+/// equal brute force at every thread count.
+#[test]
+fn hub_anchored_chains_match_bruteforce() {
+    let mut rng = StdRng::seed_from_u64(0xe7);
+    let mut nonempty = 0usize;
+    for case in 0..96 {
+        let nodes = rng.random_range(5..8u32);
+        let o = hub_world(&mut rng, nodes);
+        let spec = hub_chain_spec(&mut rng, nodes);
+        let Some(mut q) = build_query(&spec) else {
+            unreachable!("chains project the variable x0");
+        };
+        if case % 2 == 1 {
+            q = with_optional_leaf(&mut rng, &q).unwrap_or(q);
+        }
+        let (expected, _) = brute_force(&o, &q);
+        nonempty += usize::from(!expected.is_empty());
+        for threads in [1usize, 2, 4] {
+            let got = questpro::engine::evaluate_with(&o, &q, threads);
+            assert_eq!(got, expected, "{threads}-thread eval differs for {q}");
+        }
+    }
+    assert!(
+        nonempty >= 24,
+        "only {nonempty} non-empty cases: the oracle is too sparse"
+    );
+}
+
 /// Hand-built shapes for the probe driver: a constant on the probed
 /// node (probed at every node, constants included), disequalities that
 /// touch the projected node, a projected node with no required edge,
@@ -709,8 +775,12 @@ fn witness_is_in_the_difference_and_none_iff_empty() {
         }
 
         let candidates = [a, b];
-        let mut forms =
-            questpro::feedback::CandidateForms::new(&o, &candidates, &ExampleSet::new());
+        let mut forms = questpro::feedback::CandidateForms::new(
+            &o,
+            &candidates,
+            &ExampleSet::new(),
+            &mut questpro::engine::ConsistencyCache::new(),
+        );
         for (i, j) in [(0, 1), (1, 0)] {
             let expected: BTreeSet<_> = brute_union(&o, forms.all(i))
                 .difference(&brute_union(&o, &candidates[j].without_diseqs()))
