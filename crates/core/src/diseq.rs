@@ -18,6 +18,7 @@
 //! feedback loop runs on the "kept" side of difference queries, so that
 //! users never disqualify a query because of an over-strict disequality.
 
+use questpro_engine::consistency::explanation_key;
 use questpro_engine::ConsistencyCache;
 use questpro_graph::{ExampleSet, Explanation, Ontology};
 use questpro_query::{QueryNodeId, SimpleQuery, UnionQuery};
@@ -58,7 +59,7 @@ pub fn infer_diseqs_cached(
         .collect();
     let mut covered = false;
     for ex in examples.iter() {
-        let Some(m) = cache.find_onto_match_keyed(qkey, ont, q, ex) else {
+        let Some(m) = cache.find_onto_match_keyed(qkey, explanation_key(ex), ont, q, ex) else {
             continue;
         };
         covered = true;
@@ -124,7 +125,11 @@ pub fn covered_explanations_cached<'e>(
     let qkey = questpro_engine::consistency::query_key(q);
     examples
         .iter()
-        .filter(|ex| cache.find_onto_match_keyed(qkey, ont, q, ex).is_some())
+        .filter(|ex| {
+            cache
+                .find_onto_match_keyed(qkey, explanation_key(ex), ont, q, ex)
+                .is_some()
+        })
         .collect()
 }
 

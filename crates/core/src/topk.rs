@@ -13,16 +13,18 @@
 //! every round does not guarantee the global top-k (the `k = 1` case is
 //! already NP-hard).
 
+use std::sync::Arc;
+
 use questpro_engine::{metrics, ConsistencyCache};
 use questpro_graph::{ExampleSet, Ontology};
-use questpro_query::iso::union_isomorphic;
-use questpro_query::{GeneralizationWeights, UnionQuery};
+use questpro_query::iso::shaped_union_isomorphic;
+use questpro_query::{GeneralizationWeights, SimpleQuery, UnionQuery};
 
 use crate::greedy::GreedyConfig;
 use crate::stats::InferenceStats;
 use crate::union::{
-    apply_merge, branches_cost, initial_branches, merge_candidates, union_consistent_cached,
-    Branch, MergeCache,
+    apply_merge, branches_cost, initial_branches, keyed_examples, merge_candidates,
+    union_consistent_cached, Branch, MergeCache,
 };
 
 /// Configuration of the top-k inference.
@@ -50,32 +52,74 @@ impl Default for TopKConfig {
     }
 }
 
+/// A beam state: a branch list and the values its comparisons read.
+/// The `UnionQuery` is assembled only for the states the run returns.
 struct State {
     branches: Vec<Branch>,
     cost: f64,
-    query: UnionQuery,
     /// Sorted multiset of branch shape hashes. Shape hashes are
     /// isomorphism-invariant, so unequal fingerprints mean the states
-    /// cannot be union-isomorphic — the pool dedup compares these `u64`
-    /// vectors first and runs the backtracking isomorphism search only
-    /// on fingerprint collisions.
+    /// cannot be union-isomorphic.
     fingerprint: Vec<u64>,
+    /// Branch indexes sorted by `(key_hash, key)`: equal states list
+    /// equal canonical keys in this order.
+    by_key: Vec<usize>,
     /// Whether this state has already been expanded in a previous round.
     expanded: bool,
 }
 
 fn make_state(branches: Vec<Branch>, w: GeneralizationWeights) -> State {
     let cost = branches_cost(&branches, w);
-    let query = UnionQuery::new(branches.iter().map(|b| b.query.as_ref().clone()).collect())
-        .expect("states always have at least one branch");
     let mut fingerprint: Vec<u64> = branches.iter().map(|b| b.shape).collect();
     fingerprint.sort_unstable();
+    let mut by_key: Vec<usize> = (0..branches.len()).collect();
+    by_key.sort_unstable_by(|&x, &y| {
+        let (a, b) = (&branches[x], &branches[y]);
+        (a.key_hash, &*a.key).cmp(&(b.key_hash, &*b.key))
+    });
     State {
         branches,
         cost,
-        query,
         fingerprint,
+        by_key,
         expanded: false,
+    }
+}
+
+impl State {
+    /// Whether the two states are isomorphic unions — exactly
+    /// `union_isomorphic` on their assembled queries — settled from
+    /// memoized values where possible: unequal shape fingerprints rule
+    /// isomorphism out; equal canonical-key multisets mean the unions
+    /// are identical up to variable names; only states that pass the
+    /// first test and fail the second run the branch isomorphism
+    /// search, pairing branches by their memoized shapes.
+    fn isomorphic(&self, other: &State) -> bool {
+        if self.fingerprint != other.fingerprint {
+            return false;
+        }
+        let same_keys = self.by_key.iter().zip(&other.by_key).all(|(&x, &y)| {
+            let (a, b) = (&self.branches[x], &other.branches[y]);
+            a.key_hash == b.key_hash && (Arc::ptr_eq(&a.key, &b.key) || a.key == b.key)
+        });
+        if same_keys {
+            return true;
+        }
+        fn shaped(s: &State) -> Vec<(&SimpleQuery, u64)> {
+            s.branches.iter().map(|b| (&*b.query, b.shape)).collect()
+        }
+        shaped_union_isomorphic(&shaped(self), &shaped(other))
+    }
+
+    /// The state's union, its branches in state order.
+    fn query(&self) -> UnionQuery {
+        UnionQuery::new(
+            self.branches
+                .iter()
+                .map(|b| b.query.as_ref().clone())
+                .collect(),
+        )
+        .expect("states always have at least one branch")
     }
 }
 
@@ -134,6 +178,7 @@ pub fn infer_top_k_cached(
     let mut stats = InferenceStats::default();
     let mut cache = MergeCache::default();
     let (lookups0, hits0) = (ccache.lookups(), ccache.hits());
+    let keyed = keyed_examples(examples);
     let mut beam: Vec<State> = vec![make_state(initial_branches(ont, examples), cfg.weights)];
 
     // Each merge reduces a state's branch count by one, so chains of
@@ -165,16 +210,13 @@ pub fn infer_top_k_cached(
         }
         pool.append(&mut beam);
         for s in successors {
-            if !pool
-                .iter()
-                .any(|p| p.fingerprint == s.fingerprint && union_isomorphic(&p.query, &s.query))
-            {
+            if !pool.iter().any(|p| p.isomorphic(&s)) {
                 // Re-verify the admitted successor (memoized: beam states
                 // share most branches across rounds, so almost every
                 // lookup after round one is a cache hit).
                 let t_c = std::time::Instant::now();
                 let c_span = questpro_trace::span("infer.consistency");
-                let ok = union_consistent_cached(ont, &s.branches, examples, ccache);
+                let ok = union_consistent_cached(ont, &s.branches, &keyed, ccache);
                 drop(c_span);
                 stats.consistency_nanos += t_c.elapsed().as_nanos();
                 assert!(
@@ -194,7 +236,7 @@ pub fn infer_top_k_cached(
         }
     }
 
-    let queries = beam.into_iter().map(|s| s.query).collect();
+    let queries = beam.iter().map(State::query).collect();
     stats.consistency_checks = (ccache.lookups() - lookups0) as usize;
     stats.consistency_cache_hits = (ccache.hits() - hits0) as usize;
     stats.matcher_nodes_expanded = metrics::nodes_expanded().wrapping_sub(nodes0);
@@ -227,6 +269,7 @@ mod tests {
     use super::*;
     use questpro_engine::consistent_with_examples;
     use questpro_graph::Explanation;
+    use questpro_query::iso::union_isomorphic;
 
     /// The four Figure 1 explanations (as in `union::tests`).
     fn world() -> (Ontology, ExampleSet) {
@@ -397,5 +440,117 @@ mod tests {
         assert_eq!(queries.len(), 1);
         assert_eq!(queries[0].len(), 1);
         assert_eq!(queries[0].total_vars(), 0);
+    }
+
+    /// `q` with its nodes declared in reverse order and its edges
+    /// reversed: isomorphic to `q`, but with another canonical key
+    /// whenever the order shows in it.
+    fn reordered(q: &SimpleQuery) -> SimpleQuery {
+        use questpro_query::{NodeLabel, QueryNodeId};
+        let mut b = SimpleQuery::builder();
+        let mut map = vec![None; q.node_count()];
+        for n in (0..q.node_count()).rev().map(QueryNodeId::from_index) {
+            map[n.index()] = Some(match q.label(n) {
+                NodeLabel::Const(c) => b.constant(c),
+                NodeLabel::Var(v) => b.var(v),
+            });
+        }
+        let id = |n: QueryNodeId| map[n.index()].expect("every node declared");
+        for e in q.edges().iter().rev() {
+            if e.optional {
+                b.optional_edge(id(e.src), &e.pred, id(e.dst));
+            } else {
+                b.edge(id(e.src), &e.pred, id(e.dst));
+            }
+        }
+        for &(x, y) in q.diseqs() {
+            b.diseq(id(x), id(y));
+        }
+        b.project(id(q.projected()));
+        b.build().expect("a reordering of a valid query is valid")
+    }
+
+    fn sorted_keys(s: &State) -> Vec<&str> {
+        let mut keys: Vec<&str> = s.branches.iter().map(|b| &*b.key).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn dedup_decision_is_union_isomorphism() {
+        use questpro_data::{
+            bsbm_workload, generate_bsbm, generate_movies, generate_sp2b, movie_workload,
+            sp2b_workload, BsbmConfig, MoviesConfig, Sp2bConfig,
+        };
+        use questpro_graph::rng::{Rng, StdRng};
+        let worlds = [
+            (generate_sp2b(&Sp2bConfig::default()), sp2b_workload()),
+            (generate_bsbm(&BsbmConfig::default()), bsbm_workload()),
+            (generate_movies(&MoviesConfig::default()), movie_workload()),
+        ];
+        let cfg = TopKConfig::default();
+        let mut rng = StdRng::seed_from_u64(0xdd0b);
+        let (mut pairs, mut by_keys, mut by_search) = (0usize, 0usize, 0usize);
+        for (ont, catalog) in &worlds {
+            for target in catalog {
+                let examples = loop {
+                    let count = rng.random_range(2..=7usize);
+                    let ex =
+                        questpro_engine::sample_example_set(ont, &target.query, count, &mut rng, 6);
+                    if ex.len() >= 2 {
+                        break ex;
+                    }
+                };
+                // Every successor the beam's rounds generate, before any
+                // dedup, plus a copy of each with one branch reordered.
+                let mut stats = InferenceStats::default();
+                let mut cache = MergeCache::default();
+                let mut states = vec![make_state(initial_branches(ont, &examples), cfg.weights)];
+                let mut frontier = 0;
+                while frontier < states.len() && states.len() < 40 {
+                    let branches = states[frontier].branches.clone();
+                    frontier += 1;
+                    if branches.len() == 1 {
+                        continue;
+                    }
+                    let merges =
+                        merge_candidates(&branches, &cfg.greedy, cfg.k, 1, &mut stats, &mut cache);
+                    for m in merges {
+                        let next = apply_merge(&branches, &m);
+                        let mut twin = next.clone();
+                        let last = twin.len() - 1;
+                        twin[last] = Branch::from_query(reordered(&twin[last].query));
+                        states.push(make_state(next, cfg.weights));
+                        states.push(make_state(twin, cfg.weights));
+                    }
+                }
+                let queries: Vec<UnionQuery> = states.iter().map(State::query).collect();
+                for i in 0..states.len() {
+                    for j in 0..states.len() {
+                        let (a, b) = (&states[i], &states[j]);
+                        let want = union_isomorphic(&queries[i], &queries[j]);
+                        assert_eq!(
+                            a.isomorphic(b),
+                            want,
+                            "{}: states {i} and {j} ({} / {})",
+                            target.id,
+                            queries[i],
+                            queries[j]
+                        );
+                        pairs += 1;
+                        if want {
+                            if sorted_keys(a) == sorted_keys(b) {
+                                by_keys += 1;
+                            } else {
+                                by_search += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pairs > 10_000, "only {pairs} state pairs compared");
+        assert!(by_keys > pairs / 100, "{by_keys} key-settled duplicates");
+        assert!(by_search > 100, "{by_search} search-settled duplicates");
     }
 }

@@ -6,10 +6,14 @@
 //! generalization cost `f(Q) = w1·Σvars + w2·|Q|` (Def. 4.1) keeps
 //! decreasing.
 
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+use questpro_engine::consistency::explanation_key;
 use questpro_engine::par::map_stealing;
 use questpro_engine::{merge_pair_cost, metrics, ConsistencyCache};
-use questpro_graph::fxhash::fx_hash_one;
-use questpro_graph::{ExampleSet, Ontology};
+use questpro_graph::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
+use questpro_graph::{ExampleSet, Explanation, Ontology};
 use questpro_query::{GeneralizationWeights, SimpleQuery, UnionQuery};
 
 use crate::greedy::{merge_pair, GreedyConfig};
@@ -49,73 +53,109 @@ impl Default for UnionConfig {
 /// so a session's `Q^all` derivation finds inference's onto matches.
 #[derive(Debug, Clone)]
 pub(crate) struct Branch {
-    pub(crate) graph: std::sync::Arc<PatternGraph>,
-    pub(crate) query: std::sync::Arc<SimpleQuery>,
-    pub(crate) key: std::sync::Arc<str>,
+    pub(crate) graph: Arc<PatternGraph>,
+    pub(crate) query: Arc<SimpleQuery>,
+    pub(crate) key: Arc<str>,
     /// `fx_hash_one(&*key)`, memoized: consistency-cache lookups happen
     /// per (branch, example) every round and must not re-hash the key.
     pub(crate) key_hash: u64,
-    /// `query.shape_hash()`, memoized for the beam's state fingerprints.
+    /// `query.shape_hash()`, memoized for the beam's state fingerprints
+    /// and its isomorphism checks.
     pub(crate) shape: u64,
+    /// `query.generalization_vars()`, memoized for state costs and the
+    /// merge ranking.
+    pub(crate) vars: usize,
 }
 
 impl Branch {
     pub(crate) fn from_query(query: SimpleQuery) -> Self {
         let graph = PatternGraph::from_query(&query);
-        let key: std::sync::Arc<str> = query.canonical_key().into();
+        let key: Arc<str> = query.canonical_key().into();
         let key_hash = fx_hash_one(&*key);
         let shape = query.shape_hash();
+        let vars = query.generalization_vars();
         Self {
-            graph: std::sync::Arc::new(graph),
-            query: std::sync::Arc::new(query),
+            graph: Arc::new(graph),
+            query: Arc::new(query),
             key,
             key_hash,
             shape,
+            vars,
         }
     }
 }
+
+/// Merge-cache key of an unordered branch pair: the two canonical keys,
+/// ordered by `(key_hash, key)`, and one hash combining the two
+/// memoized `key_hash`es. Hashing writes only that `u64`; equality
+/// compares the hash, then each key by pointer and, failing that, by
+/// text, so the cache stays exact and no lookup re-hashes a key text.
+#[derive(Debug, Clone)]
+struct BranchPairKey {
+    hash: u64,
+    lo: Arc<str>,
+    hi: Arc<str>,
+}
+
+impl BranchPairKey {
+    fn new(a: &Branch, b: &Branch) -> Self {
+        let (lo, hi) = if (a.key_hash, &*a.key) <= (b.key_hash, &*b.key) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        Self {
+            hash: fx_hash_one(&(lo.key_hash, hi.key_hash)),
+            lo: lo.key.clone(),
+            hi: hi.key.clone(),
+        }
+    }
+}
+
+impl Hash for BranchPairKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for BranchPairKey {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &Arc<str>, b: &Arc<str>| Arc::ptr_eq(a, b) || a == b;
+        self.hash == other.hash && same(&self.lo, &other.lo) && same(&self.hi, &other.hi)
+    }
+}
+
+impl Eq for BranchPairKey {}
+
+/// Cached outcome: the merged query as a finished [`Branch`] and its
+/// gain, or `None` for unmergeable pairs. Storing the branch means a
+/// successor state shares the pattern graph, query and key of every
+/// earlier state that applied the same merge instead of rebuilding them.
+type CachedMerge = Option<(Branch, f64)>;
 
 /// Memo of pairwise Algorithm 1 outcomes across MergeBestTwo rounds:
 /// the branch pool barely changes between rounds (one merge replaces
 /// two branches), so most pairs recur. Failures are cached too. Cache
 /// hits still count as "intermediate queries considered" in the stats,
-/// preserving the Figure 6 metric.
-/// Cache key: the canonical keys of the two branches, ordered.
+/// preserving the Figure 6 metric. Keyed by [`BranchPairKey`].
 ///
 /// Live-update note: unlike `ConsistencyCache`, these entries survive
 /// any ontology delta. `merge_pair` is a pure function of the two
 /// pattern graphs and the greedy config — it never reads the ontology —
-/// so a cached merge (query, gain, vars) is identical on every ontology
+/// so a cached merge (query, gain) is identical on every ontology
 /// version and needs no predicate-signature invalidation.
-type BranchPairKey = (std::sync::Arc<str>, std::sync::Arc<str>);
-/// Cached outcome: the merged query as a finished [`Branch`], its gain,
-/// and its memoized generalization-variable count, or `None` for
-/// unmergeable pairs. Storing the branch means a successor state
-/// shares the pattern graph, query and key of every earlier state that
-/// applied the same merge instead of rebuilding them.
-type CachedMerge = Option<(Branch, f64, usize)>;
-
 #[derive(Debug, Default)]
 pub(crate) struct MergeCache {
-    map: questpro_graph::fxhash::FxHashMap<BranchPairKey, CachedMerge>,
+    map: FxHashMap<BranchPairKey, CachedMerge>,
     /// Every key ever installed, kept even if `map` were to evict: lets
     /// the accounting pass split misses into *true* (first computation)
     /// and *capacity* (eviction re-compute) in the stats.
-    ever: questpro_graph::fxhash::FxHashSet<BranchPairKey>,
-}
-
-/// The order-normalized cache key of a branch pair.
-fn pair_key(a: &Branch, b: &Branch) -> BranchPairKey {
-    if a.key <= b.key {
-        (a.key.clone(), b.key.clone())
-    } else {
-        (b.key.clone(), a.key.clone())
-    }
+    ever: FxHashSet<BranchPairKey>,
 }
 
 /// The generalization cost of a set of branches.
 pub(crate) fn branches_cost(branches: &[Branch], w: GeneralizationWeights) -> f64 {
-    let vars: usize = branches.iter().map(|b| b.query.generalization_vars()).sum();
+    let vars: usize = branches.iter().map(|b| b.vars).sum();
     w.cost(vars, branches.len())
 }
 
@@ -163,14 +203,15 @@ pub(crate) fn merge_candidates(
     let mut pairs: Vec<(usize, usize, BranchPairKey)> = Vec::new();
     for i in 0..branches.len() {
         for j in (i + 1)..branches.len() {
-            pairs.push((i, j, pair_key(&branches[i], &branches[j])));
+            pairs.push((i, j, BranchPairKey::new(&branches[i], &branches[j])));
         }
     }
     questpro_trace::add("pairs", pairs.len() as u64);
     // Sequential accounting pass + work-list of distinct missing keys.
-    let mut scheduled: questpro_graph::fxhash::FxHashSet<BranchPairKey> = Default::default();
-    let mut missing: Vec<(usize, usize)> = Vec::new();
-    for (i, j, key) in &pairs {
+    let mut scheduled: FxHashSet<&BranchPairKey> = Default::default();
+    let mut missing: Vec<&(usize, usize, BranchPairKey)> = Vec::new();
+    for pair in &pairs {
+        let key = &pair.2;
         stats.algorithm1_calls += 1;
         if cache.map.contains_key(key) || scheduled.contains(key) {
             stats.merge_cache_hits += 1;
@@ -180,8 +221,8 @@ pub(crate) fn merge_candidates(
             } else {
                 stats.merge_cache_true_misses += 1;
             }
-            scheduled.insert(key.clone());
-            missing.push((*i, *j));
+            scheduled.insert(key);
+            missing.push(pair);
         }
     }
     // Solve the misses (possibly in parallel; `merge_pair` is a pure
@@ -194,49 +235,44 @@ pub(crate) fn merge_candidates(
         map_stealing(
             &missing,
             |k| {
-                let (i, j) = missing[k];
+                let (i, j, _) = *missing[k];
                 merge_pair_cost(
                     branches[i].graph.edge_count(),
                     branches[j].graph.edge_count(),
                 )
             },
             threads,
-            |&(i, j)| {
-                merge_pair(&branches[i].graph, &branches[j].graph, cfg).map(|o| {
-                    let vars = o.query.generalization_vars();
-                    (Branch::from_query(o.query), o.gain, vars)
-                })
+            |&&(i, j, _)| {
+                merge_pair(&branches[i].graph, &branches[j].graph, cfg)
+                    .map(|o| (Branch::from_query(o.query), o.gain))
             },
         )
     };
-    for (&(i, j), outcome) in missing.iter().zip(outcomes) {
-        let key = pair_key(&branches[i], &branches[j]);
+    for ((_, _, key), outcome) in missing.iter().zip(outcomes) {
         cache.ever.insert(key.clone());
-        cache.map.insert(key, outcome);
+        cache.map.insert(key.clone(), outcome);
     }
     // Collect results in pair order, exactly as the sequential scan did.
     // Branches are cloned (`Arc` bumps) only for the `take` survivors,
     // after the sort.
-    let mut all: Vec<(usize, f64, usize, usize, BranchPairKey)> = Vec::new();
-    for (i, j, key) in pairs {
-        if let Some(Some((_, gain, vars))) = cache.map.get(&key) {
-            all.push((*vars, *gain, i, j, key));
+    let mut all: Vec<(&Branch, f64, usize, usize)> = Vec::new();
+    for (i, j, key) in &pairs {
+        if let Some(Some((branch, gain))) = cache.map.get(key) {
+            all.push((branch, *gain, *i, *j));
         }
     }
     all.sort_by(|a, b| {
-        a.0.cmp(&b.0)
+        a.0.vars
+            .cmp(&b.0.vars)
             .then(b.1.partial_cmp(&a.1).expect("finite gains"))
     });
     let picked = all
         .into_iter()
         .take(take)
-        .map(|(_, _, i, j, key)| {
-            let (branch, _, _) = cache.map[&key].as_ref().expect("key was mergeable");
-            BestMerge {
-                i,
-                j,
-                branch: branch.clone(),
-            }
+        .map(|(branch, _, i, j)| BestMerge {
+            i,
+            j,
+            branch: branch.clone(),
         })
         .collect();
     stats.merge_nanos += t0.elapsed().as_nanos();
@@ -244,19 +280,30 @@ pub(crate) fn merge_candidates(
     picked
 }
 
+/// The explanations of a run, each with its [`explanation_key`],
+/// computed once so per-branch consistency lookups do not re-hash the
+/// explanation subgraphs.
+pub(crate) fn keyed_examples(examples: &ExampleSet) -> Vec<(&Explanation, u64)> {
+    examples
+        .iter()
+        .map(|ex| (ex, explanation_key(ex)))
+        .collect()
+}
+
 /// Whether every explanation is covered by at least one branch, checked
 /// through the shared [`ConsistencyCache`]. Branch keys double as the
-/// canonical query hashes, so no re-rendering happens per lookup.
+/// canonical query hashes and the explanations come with their keys
+/// ([`keyed_examples`]), so no lookup re-hashes either side.
 pub(crate) fn union_consistent_cached(
     ont: &Ontology,
     branches: &[Branch],
-    examples: &ExampleSet,
+    examples: &[(&Explanation, u64)],
     cache: &mut ConsistencyCache,
 ) -> bool {
-    examples.iter().all(|ex| {
+    examples.iter().all(|&(ex, xkey)| {
         branches.iter().any(|b| {
             cache
-                .find_onto_match_keyed(b.key_hash, ont, &b.query, ex)
+                .find_onto_match_keyed(b.key_hash, xkey, ont, &b.query, ex)
                 .is_some()
         })
     })
@@ -314,6 +361,7 @@ pub fn find_consistent_union(
     let mut stats = InferenceStats::default();
     let mut cache = MergeCache::default();
     let mut ccache = ConsistencyCache::new();
+    let keyed = keyed_examples(examples);
     let mut branches = initial_branches(ont, examples);
     let mut cost = branches_cost(&branches, cfg.weights);
     loop {
@@ -335,7 +383,7 @@ pub fn find_consistent_union(
             // Re-verify the accepted state (memoized: only the freshly
             // merged branch triggers new onto-match searches).
             let t_c = std::time::Instant::now();
-            let ok = union_consistent_cached(ont, &next, examples, &mut ccache);
+            let ok = union_consistent_cached(ont, &next, &keyed, &mut ccache);
             stats.consistency_nanos += t_c.elapsed().as_nanos();
             assert!(ok, "applied merge must preserve consistency (Prop. 3.13)");
             branches = next;
@@ -348,7 +396,7 @@ pub fn find_consistent_union(
     let union = UnionQuery::new(
         branches
             .into_iter()
-            .map(|b| std::sync::Arc::try_unwrap(b.query).unwrap_or_else(|q| (*q).clone()))
+            .map(|b| Arc::try_unwrap(b.query).unwrap_or_else(|q| (*q).clone()))
             .collect(),
     )
     .expect("non-empty example-set yields non-empty union");

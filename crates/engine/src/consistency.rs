@@ -140,21 +140,24 @@ impl ConsistencyCache {
         q: &SimpleQuery,
         ex: &Explanation,
     ) -> Option<&Match> {
-        self.find_onto_match_keyed(query_key(q), ont, q, ex)
+        self.find_onto_match_keyed(query_key(q), explanation_key(ex), ont, q, ex)
     }
 
-    /// Cached [`find_onto_match`] with a precomputed [`query_key`] (hot
-    /// paths that already hold it, e.g. union branches). A hit lends
-    /// the cached match out instead of copying it.
+    /// Cached [`find_onto_match`] with a precomputed [`query_key`] and
+    /// [`explanation_key`] (hot paths that already hold them, e.g. union
+    /// branches checked against every explanation of a run). The keys
+    /// must be those of `q` and `ex`. A hit lends the cached match out
+    /// instead of copying it.
     pub fn find_onto_match_keyed(
         &mut self,
         qkey: u64,
+        xkey: u64,
         ont: &Ontology,
         q: &SimpleQuery,
         ex: &Explanation,
     ) -> Option<&Match> {
         self.lookups += 1;
-        let cached = match self.map.entry((qkey, explanation_key(ex))) {
+        let cached = match self.map.entry((qkey, xkey)) {
             Entry::Occupied(hit) => {
                 self.hits += 1;
                 crate::metrics::add_consistency_lookup(true);

@@ -412,10 +412,14 @@ fn record(
         fields,
     };
     EMITTED.fetch_add(1, Ordering::Relaxed);
+    // Moved into the buffer, or into the overflow batch if the buffer
+    // is unavailable; the closure runs at most once.
+    let mut ev = Some(ev);
+    let mut take = || ev.take().expect("the event is moved once");
     let overflow = BUF
         .try_with(|b| match b.try_borrow_mut() {
             Ok(mut buf) => {
-                buf.events.push(ev.clone());
+                buf.events.push(take());
                 if buf.events.len() >= FLUSH_AT || level >= Level::Warn {
                     Some(std::mem::take(&mut buf.events))
                 } else {
@@ -424,9 +428,9 @@ fn record(
             }
             // Re-entrant emit (e.g. from a panic hook interrupting an
             // emit): bypass the buffer rather than lose the event.
-            Err(_) => Some(vec![ev.clone()]),
+            Err(_) => Some(vec![take()]),
         })
-        .unwrap_or_else(|_| Some(vec![ev]));
+        .unwrap_or_else(|_| Some(vec![take()]));
     if let Some(events) = overflow {
         flush_events(events);
     }

@@ -46,6 +46,16 @@ pub fn isomorphic(a: &SimpleQuery, b: &SimpleQuery) -> bool {
 /// Whether two union queries are isomorphic: a bijection between their
 /// branch multisets such that paired branches are isomorphic.
 pub fn union_isomorphic(a: &UnionQuery, b: &UnionQuery) -> bool {
+    fn shaped(u: &UnionQuery) -> Vec<(&SimpleQuery, u64)> {
+        u.branches().iter().map(|q| (q, q.shape_hash())).collect()
+    }
+    a.len() == b.len() && shaped_union_isomorphic(&shaped(a), &shaped(b))
+}
+
+/// [`union_isomorphic`] over branch lists that carry each branch's
+/// [`SimpleQuery::shape_hash`], for callers that have it memoized.
+/// Branches pair only where their shape hashes agree.
+pub fn shaped_union_isomorphic(a: &[(&SimpleQuery, u64)], b: &[(&SimpleQuery, u64)]) -> bool {
     if a.len() != b.len() {
         return false;
     }
@@ -53,18 +63,17 @@ pub fn union_isomorphic(a: &UnionQuery, b: &UnionQuery) -> bool {
     match_branches(a, b, 0, &mut taken)
 }
 
-fn match_branches(a: &UnionQuery, b: &UnionQuery, i: usize, taken: &mut [bool]) -> bool {
-    if i == a.len() {
+fn match_branches(
+    a: &[(&SimpleQuery, u64)],
+    b: &[(&SimpleQuery, u64)],
+    i: usize,
+    taken: &mut [bool],
+) -> bool {
+    let Some(&(qa, ha)) = a.get(i) else {
         return true;
-    }
-    let qa = &a.branches()[i];
-    let ha = qa.shape_hash();
-    for j in 0..b.len() {
-        if taken[j] {
-            continue;
-        }
-        let qb = &b.branches()[j];
-        if ha != qb.shape_hash() || !isomorphic(qa, qb) {
+    };
+    for (j, &(qb, hb)) in b.iter().enumerate() {
+        if taken[j] || ha != hb || !isomorphic(qa, qb) {
             continue;
         }
         taken[j] = true;

@@ -3,6 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use questpro_graph::fxhash::FxHasher;
 use questpro_graph::{Explanation, Ontology};
 
 use crate::error::QueryError;
@@ -303,28 +304,34 @@ impl SimpleQuery {
     }
 
     /// A multiset fingerprint of the query's shape, invariant under
-    /// variable renaming. Used as a cheap pre-filter before the full
-    /// isomorphism test in [`crate::iso`].
+    /// variable renaming and under the order in which nodes and edges
+    /// were declared. Used as a cheap pre-filter before the full
+    /// isomorphism test in [`crate::iso`]: isomorphic queries always
+    /// hash equal, so unequal hashes prove non-isomorphism.
+    ///
+    /// Each edge is FxHashed straight from its labels (endpoint kinds,
+    /// predicate, endpoint constants, OPTIONAL flag); the sorted edge
+    /// hashes, the node count and the disequality count are hashed
+    /// together. Nothing is allocated beyond the one `u64` per edge.
     pub fn shape_hash(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        let mut sigs: Vec<(u8, String, String, u8, bool)> = self
+        let mut sigs: Vec<u64> = self
             .edges
             .iter()
             .map(|e| {
-                let ls = &self.nodes[e.src.index()];
-                let ld = &self.nodes[e.dst.index()];
-                (
-                    label_kind(ls, e.src == self.projected),
-                    e.pred.to_string(),
-                    const_or_empty(ls) + "|" + &const_or_empty(ld),
-                    label_kind(ld, e.dst == self.projected),
-                    e.optional,
-                )
+                let (ls, ld) = (&self.nodes[e.src.index()], &self.nodes[e.dst.index()]);
+                let mut h = FxHasher::default();
+                label_kind(ls, e.src == self.projected).hash(&mut h);
+                e.pred.hash(&mut h);
+                ls.as_const().unwrap_or("").hash(&mut h);
+                ld.as_const().unwrap_or("").hash(&mut h);
+                label_kind(ld, e.dst == self.projected).hash(&mut h);
+                e.optional.hash(&mut h);
+                h.finish()
             })
             .collect();
-        sigs.sort();
-        let mut h = DefaultHasher::new();
+        sigs.sort_unstable();
+        let mut h = FxHasher::default();
         sigs.hash(&mut h);
         self.nodes.len().hash(&mut h);
         self.diseqs.len().hash(&mut h);
@@ -344,24 +351,35 @@ impl SimpleQuery {
     /// the pattern graph) and the consistency cache with its hash (an
     /// onto match records images by node and edge index).
     pub fn canonical_key(&self) -> String {
-        use std::fmt::Write;
         let mut s = String::with_capacity(16 + 16 * self.edges.len());
-        let _ = write!(s, "d{}", self.projected.index());
+        s.push('d');
+        push_uint(&mut s, self.projected.index());
         for l in &self.nodes {
             match l {
                 NodeLabel::Const(c) => {
-                    let _ = write!(s, "C{}:{c}", c.len());
+                    s.push('C');
+                    push_uint(&mut s, c.len());
+                    s.push(':');
+                    s.push_str(c);
                 }
                 NodeLabel::Var(_) => s.push('V'),
             }
         }
         for e in &self.edges {
-            let kind = if e.optional { 'o' } else { 'e' };
-            let (src, dst) = (e.src.index(), e.dst.index());
-            let _ = write!(s, "{kind}{src},{dst},{}:{}", e.pred.len(), e.pred);
+            s.push(if e.optional { 'o' } else { 'e' });
+            push_uint(&mut s, e.src.index());
+            s.push(',');
+            push_uint(&mut s, e.dst.index());
+            s.push(',');
+            push_uint(&mut s, e.pred.len());
+            s.push(':');
+            s.push_str(&e.pred);
         }
         for (a, b) in &self.diseqs {
-            let _ = write!(s, "!{},{}", a.index(), b.index());
+            s.push('!');
+            push_uint(&mut s, a.index());
+            s.push(',');
+            push_uint(&mut s, b.index());
         }
         s
     }
@@ -375,8 +393,19 @@ fn label_kind(l: &NodeLabel, projected: bool) -> u8 {
     }
 }
 
-fn const_or_empty(l: &NodeLabel) -> String {
-    l.as_const().unwrap_or("").to_string()
+/// Appends the decimal digits of `n`.
+fn push_uint(s: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    s.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 fn validate_diseq(
@@ -802,6 +831,69 @@ mod tests {
             .project(a1);
         let q2 = b.build().unwrap();
         assert_eq!(q1.shape_hash(), q2.shape_hash());
+
+        // Same shape again, with nodes declared in another order and
+        // edges in reverse: the hash pre-filters isomorphism, so it may
+        // not depend on declaration order.
+        let mut b = SimpleQuery::builder();
+        let p3 = b.var("p3");
+        let a4 = b.var("a4");
+        let p1 = b.var("p1");
+        let a2 = b.var("a2");
+        let a3 = b.var("a3");
+        let p2 = b.var("p2");
+        let a1 = b.var("a1");
+        b.edge(p3, "wb", a4)
+            .edge(p3, "wb", a3)
+            .edge(p2, "wb", a3)
+            .edge(p2, "wb", a2)
+            .edge(p1, "wb", a2)
+            .edge(p1, "wb", a1)
+            .project(a1);
+        let q3 = b.build().unwrap();
+        assert_eq!(q1.shape_hash(), q3.shape_hash());
+
+        // Constants, OPTIONAL edges and disequalities, declared in two
+        // orders; changing any one of them changes the hash here.
+        let build = |reverse: bool, optional: bool, erdos: &str| {
+            let mut b = SimpleQuery::builder();
+            let nodes = if reverse {
+                let e = b.constant(erdos);
+                let y = b.var("y");
+                let p = b.var("p");
+                let x = b.var("x");
+                [x, p, y, e]
+            } else {
+                let x = b.var("x");
+                let p = b.var("p");
+                let y = b.var("y");
+                let e = b.constant(erdos);
+                [x, p, y, e]
+            };
+            let [x, p, y, e] = nodes;
+            let mut edges = vec![
+                (p, "wb", x, false),
+                (p, "wb", y, false),
+                (p, "wb", e, optional),
+            ];
+            if reverse {
+                edges.reverse();
+            }
+            for (s, pred, d, opt) in edges {
+                if opt {
+                    b.optional_edge(s, pred, d);
+                } else {
+                    b.edge(s, pred, d);
+                }
+            }
+            b.diseq(x, y).project(x);
+            b.build().unwrap()
+        };
+        let base = build(false, true, "Erdos");
+        assert_eq!(base.shape_hash(), build(true, true, "Erdos").shape_hash());
+        assert!(crate::iso::isomorphic(&base, &build(true, true, "Erdos")));
+        assert_ne!(base.shape_hash(), build(false, false, "Erdos").shape_hash());
+        assert_ne!(base.shape_hash(), build(false, true, "Bob").shape_hash());
     }
 
     #[test]
